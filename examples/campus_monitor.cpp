@@ -105,14 +105,11 @@ void print_summary(core::Analyzer& analyzer, std::uint64_t processed) {
               static_cast<unsigned long long>(c.zoom_packets),
               util::human_bytes(c.zoom_bytes).c_str(),
               analyzer.meetings().meeting_count(), analyzer.streams().size());
-  // Front-end screening and sketch-tier churn are accounting, not loss:
-  // zero them out of the all-clear gate so the summary line is identical
+  // Accounting-only counters are not loss: the summary line is the same
   // with the front end / tier on or off (--frontend-stats and
   // --sketch-stats report the details).
-  auto h = analyzer.health();
-  h.frontend_rejected = 0;
-  h.sketch_evicted = 0;
-  if (h.all_clear()) {
+  const auto& h = analyzer.health();
+  if (analysis::health_all_clear(h)) {
     std::printf("analyzer health: all clear\n");
   } else {
     std::printf("analyzer health: %llu records dropped "

@@ -13,6 +13,9 @@
 #   * the SIGHUP reload was acknowledged,
 #   * the final health line reports zero dropped records,
 #   * a snapshot exists and no write/source errors were logged.
+# Then replays the trace once from a FIFO fed by cat — input that cannot
+# be mapped, so the replay copies it — and asserts exit 0 and at least
+# one epoch file.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -78,4 +81,19 @@ grep -q "graceful shutdown" "$WORK/daemon.log" \
 ! grep -qE "write failed|source error|cannot read config" "$WORK/daemon.log" \
   || fail "daemon logged I/O or source errors"
 
-echo "SOAK OK: $EPOCHS epochs, clean reload, clean drain"
+echo "=== FIFO replay (unmappable input) ==="
+mkfifo "$WORK/trace.fifo"
+mkdir -p "$WORK/fifo-reports"
+cat "$WORK/soak.pcap" > "$WORK/trace.fifo" &
+CAT_PID=$!
+FIFO_EXIT=0
+"$MONITOR" --daemon --replay "$WORK/trace.fifo" --loops 1 \
+  --epoch-packets 100000 --report-dir "$WORK/fifo-reports" \
+  2> "$WORK/fifo.log" || FIFO_EXIT=$?
+wait "$CAT_PID" || true
+cat "$WORK/fifo.log"
+[[ "$FIFO_EXIT" -eq 0 ]] || fail "FIFO replay exited $FIFO_EXIT, expected 0"
+FIFO_EPOCHS=$(ls "$WORK/fifo-reports"/epoch-*.bin 2>/dev/null | wc -l)
+[[ "$FIFO_EPOCHS" -ge 1 ]] || fail "FIFO replay wrote no epoch files"
+
+echo "SOAK OK: $EPOCHS epochs, clean reload, clean drain; FIFO replay $FIFO_EPOCHS epochs"

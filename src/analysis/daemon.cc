@@ -82,8 +82,6 @@ void MonitorDaemon::restore() {
       break;
   }
   cumulative_ = std::move(data);
-  recent_.assign(cumulative_.recent_epochs.begin(),
-                 cumulative_.recent_epochs.end());
   engine_->set_next_seq(cumulative_.next_epoch_seq);
   engine_->set_global_packets(cumulative_.packets_consumed);
   if (lifetime_tier_ && !cumulative_.background_tier.empty()) {
@@ -178,21 +176,18 @@ bool MonitorDaemon::on_epoch(const EpochReport& report,
       lifetime_tier_->fold(key, net::canonical_flow_hash(key),
                            sketch::FlowStats{h.packets, h.bytes});
     }
-    util::ByteWriter w;
-    lifetime_tier_->serialize(w);
-    cumulative_.background_tier = w.take();
   }
-  recent_.push_back(report);
-  while (recent_.size() > kSnapshotRecentEpochs) recent_.pop_front();
-  cumulative_.recent_epochs.assign(recent_.begin(), recent_.end());
   ++stats_.epochs_rotated;
 
   bool ok = true;
   std::string error;
   if (!config_.report_dir.empty()) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "epoch-%08llu.bin",
+    // Site-qualified like the journal segments, so daemons sharing one
+    // report directory never overwrite each other's epochs.
+    char seq[32];
+    std::snprintf(seq, sizeof(seq), "%08llu",
                   static_cast<unsigned long long>(report.seq));
+    const std::string name = "epoch-" + config_.site + "-" + seq + ".bin";
     if (save_epoch_report(report, config_.report_dir + "/" + name, &error)) {
       ++stats_.epoch_files_written;
     } else {
@@ -215,6 +210,17 @@ bool MonitorDaemon::on_epoch(const EpochReport& report,
     update_manifest();
   }
   if (!config_.snapshot_path.empty()) {
+    // The recent-epoch window and the tier image exist only for the
+    // snapshot, so they are built only when one is written.
+    auto& recent = cumulative_.recent_epochs;
+    recent.push_back(report);
+    if (recent.size() > kSnapshotRecentEpochs)
+      recent.erase(recent.begin(), recent.end() - kSnapshotRecentEpochs);
+    if (lifetime_tier_) {
+      util::ByteWriter w;
+      lifetime_tier_->serialize(w);
+      cumulative_.background_tier = w.take();
+    }
     if (save_snapshot(cumulative_, config_.snapshot_path, &error)) {
       ++stats_.snapshots_written;
     } else {

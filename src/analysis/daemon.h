@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 
@@ -50,16 +49,17 @@ struct DaemonConfig {
   /// Snapshot file written atomically at every rotation; empty
   /// disables durability.
   std::string snapshot_path;
-  /// Directory receiving one `epoch-NNNNNNNN.bin` per completed epoch;
-  /// empty disables the per-epoch files. With `engine.collect_journal`
-  /// it also receives the metric-journal segments
+  /// Directory receiving one `epoch-<site>-NNNNNNNN.bin` per completed
+  /// epoch; empty disables the per-epoch files. With
+  /// `engine.collect_journal` it also receives the metric-journal segments
   /// (`journal-<site>-NNNNNNNNNNNN.zpmj`, named by their starting epoch
   /// seq so restarts never collide) and a `MANIFEST` rewritten
   /// atomically at every rotation (journal paths + epoch time spans —
   /// what zpm_query discovers its inputs from).
   std::string report_dir;
   /// Site label stamped into journal headers and the MANIFEST (multi-
-  /// site merges group by it).
+  /// site merges group by it) and named in the epoch-file and journal
+  /// segment names.
   std::string site = "campus";
   /// key=value file re-read on SIGHUP (see reload_config_file()).
   std::string config_path;
@@ -133,8 +133,9 @@ class MonitorDaemon {
   [[nodiscard]] const DaemonStats& stats() const { return stats_; }
   /// What restore found at startup (valid after run() began).
   [[nodiscard]] RestoreStatus restore_status() const { return restore_status_; }
-  /// Daemon-lifetime aggregates (cumulative counters/health, recent
-  /// epochs, background-tier image) as of the last rotation.
+  /// Daemon-lifetime aggregates (cumulative counters/health) as of the
+  /// last rotation. The recent epochs and the background-tier image are
+  /// filled only when a snapshot_path is set.
   [[nodiscard]] const SnapshotData& cumulative() const { return cumulative_; }
 
  private:
@@ -167,7 +168,6 @@ class MonitorDaemon {
   std::string journal_name_;  // segment filename (MANIFEST-relative)
 
   SnapshotData cumulative_;
-  std::deque<EpochReport> recent_;  // mirror of cumulative_.recent_epochs
   DaemonStats stats_;
   RestoreStatus restore_status_ = RestoreStatus::Missing;
   std::atomic<bool> shutdown_{false};

@@ -85,6 +85,24 @@ std::vector<PayloadTypeRow> table3_rows(const core::AnalyzerCounters& counters) 
   return rows;
 }
 
+bool health_all_clear(const core::AnalyzerHealth& health) {
+  core::AnalyzerHealth h = health;
+  h.frontend_rejected = 0;
+  h.sketch_evicted = 0;
+  h.overload_shed_l1 = 0;
+  h.overload_shed_l2 = 0;
+  h.overload_shed_l3 = 0;
+  h.overload_shed_l4 = 0;
+  h.ring_wait_spins = 0;
+  h.source_stalls = 0;
+  h.kernel_packets = 0;
+  h.kernel_drops = 0;
+  h.offload_covered_packets = 0;
+  h.offload_collisions = 0;
+  h.offload_evictions = 0;
+  return h.all_clear();
+}
+
 std::vector<HealthRow> health_rows(const core::AnalyzerHealth& h) {
   std::vector<HealthRow> rows;
   auto add = [&](std::string_view category, std::string_view description,

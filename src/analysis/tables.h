@@ -47,6 +47,15 @@ struct HealthRow {
 /// when health.all_clear().
 std::vector<HealthRow> health_rows(const core::AnalyzerHealth& health);
 
+/// The "all clear" verdict of a report's health section: true when no
+/// counter shows loss or distrust. Ignores the accounting-only counters
+/// (front-end screening, sketch churn, overload sheds, offload coverage
+/// and churn) and the timing gauges core/health.h declares
+/// nondeterministic (ring wait spins, source stalls, kernel packets and
+/// drops), so the verdict is the same serial or sharded and with the
+/// front end, tier, governor or offload on or off.
+bool health_all_clear(const core::AnalyzerHealth& health);
+
 /// Capture front-end selectivity counters (--frontend-stats), rendered
 /// with the same row shape as health_rows so drivers reuse one printer.
 /// Unlike health_rows, zero-count rows for the three verdicts are kept:

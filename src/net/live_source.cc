@@ -369,22 +369,38 @@ LiveSourceStats LiveSource::stats() const {
 // ReplayLiveSource
 
 ReplayLiveSource::ReplayLiveSource(ReplayLiveSourceConfig config)
-    : config_(std::move(config)) {
-  TraceSource src(config_.path);
-  if (!src.ok()) {
-    error_ = "replay: cannot open " + config_.path + " (" + src.error() + ")";
+    : config_(std::move(config)),
+      trace_(std::make_unique<TraceSource>(config_.path)) {
+  if (!trace_->ok()) {
+    error_ = "replay: cannot open " + config_.path + " (" + trace_->error() + ")";
     return;
   }
-  while (auto view = src.next()) packets_.push_back(view->to_owned());
-  if (!src.ok()) {
-    error_ = "replay: " + config_.path + ": " + src.error();
+  // A mapped trace's views stay valid while trace_ lives, so the index
+  // is the views themselves. Unmappable input reuses its batch storage,
+  // so each batch is copied out before the next read.
+  const bool mapped = trace_->mapped();
+  std::vector<RawPacketView> batch;
+  while (trace_->next_batch(batch, 4096) > 0) {
+    if (mapped) {
+      index_.insert(index_.end(), batch.begin(), batch.end());
+    } else {
+      for (const auto& view : batch) owned_.push_back(view.to_owned());
+    }
+  }
+  if (!trace_->ok()) {
+    error_ = "replay: " + config_.path + ": " + trace_->error();
     return;
   }
-  if (packets_.empty()) {
+  if (!mapped) {
+    index_.reserve(owned_.size());
+    for (const auto& pkt : owned_) index_.push_back(as_view(pkt));
+    trace_.reset();  // the copies back the views; release the reader
+  }
+  if (index_.empty()) {
     error_ = "replay: " + config_.path + " contains no records";
     return;
   }
-  util::Duration span = packets_.back().ts - packets_.front().ts;
+  util::Duration span = index_.back().ts - index_.front().ts;
   if (span < util::Duration::micros(0)) span = util::Duration::micros(0);
   stride_ = span + config_.loop_gap;
   ok_ = true;
@@ -394,7 +410,7 @@ SourceStatus ReplayLiveSource::poll_batch(std::vector<RawPacketView>& out,
                                           std::size_t max) {
   out.clear();
   if (!ok_) return SourceStatus::Error;
-  const std::uint64_t per_loop = packets_.size();
+  const std::uint64_t per_loop = index_.size();
   const bool infinite = config_.loops == 0;
   const std::uint64_t budget =
       infinite ? ~std::uint64_t{0} : config_.loops * per_loop;
@@ -434,11 +450,10 @@ SourceStatus ReplayLiveSource::poll_batch(std::vector<RawPacketView>& out,
   }
   std::size_t n = 0;
   while (n < want && position_ < budget) {
-    std::uint64_t loop = position_ / per_loop;
-    const RawPacket& pkt = packets_[position_ % per_loop];
-    out.push_back(RawPacketView{
-        pkt.ts + stride_ * static_cast<std::int64_t>(loop), pkt.data,
-        pkt.orig_len});
+    const std::uint64_t loop = position_ / per_loop;
+    RawPacketView view = index_[position_ % per_loop];
+    view.ts = view.ts + stride_ * static_cast<std::int64_t>(loop);
+    out.push_back(view);
     ++position_;
     ++n;
   }
@@ -459,7 +474,7 @@ bool ReplayLiveSource::reopen() {
 
 bool ReplayLiveSource::skip_to(std::uint64_t target) {
   if (!ok_) return false;
-  if (config_.loops != 0 && target > config_.loops * packets_.size())
+  if (config_.loops != 0 && target > config_.loops * index_.size())
     return false;
   position_ = target;
   pace_started_ = false;  // re-base pacing on the next poll

@@ -12,16 +12,25 @@
 //     platforms without AF_PACKET. Requires CAP_NET_RAW; everything
 //     else in the daemon is testable without it via ReplayLiveSource.
 //
-//   * ReplayLiveSource — a deterministic in-process stand-in: loads an
-//     existing trace once into owned storage and replays it in batches,
-//     optionally looping forever with per-loop timestamp shifts (so
-//     capture time keeps advancing), optionally paced against the wall
-//     clock (so a 30 s soak run behaves like a live tap instead of a
-//     microsecond-long burst), and optionally stalling on command (so
-//     watchdog recovery is testable). Batch *content* is a pure
-//     function of (trace, loop budget, skip position) — pacing and
-//     stalls only affect timing — which is what makes the daemon's
-//     crash-recovery byte-identity test possible.
+//   * ReplayLiveSource — a deterministic in-process stand-in: maps an
+//     existing trace once and replays it in batches of views straight
+//     into the mapping, optionally looping forever with per-loop
+//     timestamp shifts (so capture time keeps advancing), optionally
+//     paced against the wall clock (so a 30 s soak run behaves like a
+//     live tap instead of a microsecond-long burst), and optionally
+//     stalling on command (so watchdog recovery is testable). Batch
+//     *content* is a pure function of (trace, loop budget, skip
+//     position) — pacing and stalls only affect timing — which is what
+//     makes the daemon's crash-recovery byte-identity test possible.
+//
+//     Memory is the file's page cache plus one 32-byte view per packet
+//     (the same mapping zpm_analyze reads from). Input that cannot be
+//     mapped — a FIFO, stdin, a platform without mmap — is copied into
+//     owned packets once and indexed the same way. Like zpm_analyze,
+//     a mapped replay shares the hazard of any file mapping: rewriting
+//     or truncating the trace in place while it is being replayed can
+//     raise SIGBUS. Deleting it, or replacing it by
+//     rename, is safe — the mapping keeps the old inode alive.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +40,7 @@
 
 #include "net/batch_source.h"
 #include "net/packet.h"
+#include "net/trace_source.h"
 #include "util/time.h"
 
 namespace zpm::net {
@@ -127,8 +137,9 @@ struct ReplayLiveSourceConfig {
   std::uint64_t stall_after_packets = 0;
 };
 
-/// See file comment. Owned storage: views stay valid for the source's
-/// lifetime (pinned).
+/// See file comment. Views point into the trace mapping (or the owned
+/// fallback copy) and stay valid for the source's lifetime, moves
+/// included (pinned).
 class ReplayLiveSource : public BatchSource {
  public:
   explicit ReplayLiveSource(ReplayLiveSourceConfig config);
@@ -151,7 +162,10 @@ class ReplayLiveSource : public BatchSource {
   bool skip_to(std::uint64_t target) override;
 
   /// Packets in one pass of the loaded trace.
-  [[nodiscard]] std::uint64_t trace_packets() const { return packets_.size(); }
+  [[nodiscard]] std::uint64_t trace_packets() const { return index_.size(); }
+  /// True when views alias the trace mapping; false on the owned
+  /// fallback for unmappable input.
+  [[nodiscard]] bool mapped() const { return trace_ && trace_->mapped(); }
   /// Capture-time extent of one loop iteration (span + loop_gap).
   [[nodiscard]] util::Duration loop_stride() const { return stride_; }
   [[nodiscard]] std::uint64_t reopen_count() const { return reopens_; }
@@ -162,7 +176,11 @@ class ReplayLiveSource : public BatchSource {
   ReplayLiveSourceConfig config_;
   bool ok_ = false;
   std::string error_;
-  std::vector<RawPacket> packets_;  // one loop's worth, owned
+  // The open trace whose mapping backs index_; null on the owned
+  // fallback. Heap-held so a moved source keeps every view valid.
+  std::unique_ptr<TraceSource> trace_;
+  std::vector<RawPacket> owned_;       // unmappable input only
+  std::vector<RawPacketView> index_;   // one loop's worth of packets
   util::Duration stride_;           // per-loop timestamp shift
   std::uint64_t position_ = 0;      // next global packet index
   bool stalled_ = false;

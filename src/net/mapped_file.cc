@@ -44,9 +44,13 @@ void MappedFile::reset() {
 MappedFile MappedFile::open(const std::string& path) {
   MappedFile mf;
 #ifdef ZPM_HAVE_MMAP
+  // Check the type before opening: opening a FIFO would block for a
+  // writer, and closing it again would cost that writer its reader
+  // before the streaming fallback gets to open it.
+  struct stat st{};
+  if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) return mf;
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return mf;
-  struct stat st{};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
     ::close(fd);
     return mf;

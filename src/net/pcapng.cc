@@ -1,5 +1,6 @@
 #include "net/pcapng.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -253,27 +254,74 @@ bool PcapNgReader::next_into(RawPacket& out) {
   return false;
 }
 
+namespace {
+
+/// Serves the bytes already read to sniff a capture's format, then the
+/// rest of the file. A pipe, FIFO or stdin can be opened only once and
+/// never rewound, so the reader has to continue on the sniffed stream.
+class SniffedBuf : public std::streambuf {
+ public:
+  SniffedBuf(std::unique_ptr<std::ifstream> file, std::array<char, 4> head)
+      : file_(std::move(file)), head_(head) {
+    setg(head_.data(), head_.data(), head_.data() + head_.size());
+  }
+
+ protected:
+  // Reached only once the head is drained.
+  int_type underflow() override { return file_->rdbuf()->sgetc(); }
+  int_type uflow() override { return file_->rdbuf()->sbumpc(); }
+  std::streamsize xsgetn(char* s, std::streamsize n) override {
+    const std::streamsize from_head = std::min<std::streamsize>(n, egptr() - gptr());
+    std::memcpy(s, gptr(), static_cast<std::size_t>(from_head));
+    gbump(static_cast<int>(from_head));
+    if (from_head == n) return n;
+    return from_head + file_->rdbuf()->sgetn(s + from_head, n - from_head);
+  }
+
+ private:
+  std::unique_ptr<std::ifstream> file_;
+  std::array<char, 4> head_;
+};
+
+/// A streaming reader that owns its sniffed stream.
+template <class Reader>
+class SniffedCapture final : public PacketSource {
+ public:
+  SniffedCapture(std::unique_ptr<std::ifstream> file, std::array<char, 4> head)
+      : buf_(std::move(file), head), in_(&buf_), reader_(in_) {}
+  std::optional<RawPacket> next() override { return reader_.next(); }
+  bool next_into(RawPacket& out) override { return reader_.next_into(out); }
+  [[nodiscard]] bool ok() const override { return reader_.ok(); }
+  [[nodiscard]] const std::string& error() const override { return reader_.error(); }
+
+ private:
+  SniffedBuf buf_;
+  std::istream in_;
+  Reader reader_;
+};
+
+}  // namespace
+
 std::unique_ptr<PacketSource> open_capture(const std::string& path) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe.is_open()) return nullptr;
-  std::array<std::uint8_t, 4> magic{};
-  probe.read(reinterpret_cast<char*>(magic.data()), 4);
-  if (probe.gcount() != 4) return nullptr;
-  std::uint32_t magic_le = std::uint32_t{magic[0]} | (std::uint32_t{magic[1]} << 8) |
-                           (std::uint32_t{magic[2]} << 16) |
-                           (std::uint32_t{magic[3]} << 24);
-  probe.close();
+  auto file = std::make_unique<std::ifstream>(path, std::ios::binary);
+  if (!file->is_open()) return nullptr;
+  std::array<char, 4> head{};
+  file->read(head.data(), head.size());
+  if (file->gcount() != 4) return nullptr;
+  const auto byte = [&](std::size_t i) {
+    return std::uint32_t{static_cast<std::uint8_t>(head[i])};
+  };
+  const std::uint32_t magic_le =
+      byte(0) | (byte(1) << 8) | (byte(2) << 16) | (byte(3) << 24);
+  std::unique_ptr<PacketSource> reader;
   if (magic_le == 0x0a0d0d0a) {
-    auto reader = std::make_unique<PcapNgReader>(path);
-    return reader->ok() ? std::move(reader) : nullptr;
+    reader = std::make_unique<SniffedCapture<PcapNgReader>>(std::move(file), head);
+  } else if (magic_le == 0xa1b2c3d4 || magic_le == 0xd4c3b2a1 ||
+             magic_le == 0xa1b23c4d || magic_le == 0x4d3cb2a1) {
+    // Classic pcap magics (either endianness, µs or ns).
+    reader = std::make_unique<SniffedCapture<PcapReader>>(std::move(file), head);
   }
-  // Classic pcap magics (either endianness, µs or ns).
-  if (magic_le == 0xa1b2c3d4 || magic_le == 0xd4c3b2a1 || magic_le == 0xa1b23c4d ||
-      magic_le == 0x4d3cb2a1) {
-    auto reader = std::make_unique<PcapAdapter>(path);
-    return reader->ok() ? std::move(reader) : nullptr;
-  }
-  return nullptr;
+  return reader && reader->ok() ? std::move(reader) : nullptr;
 }
 
 }  // namespace zpm::net

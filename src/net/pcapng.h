@@ -92,22 +92,9 @@ class PcapNgReader : public PacketSource {
   std::string error_;
 };
 
-/// Adapts the classic-format PcapReader to the PacketSource interface.
-class PcapAdapter : public PacketSource {
- public:
-  explicit PcapAdapter(const std::string& path) : reader_(path) {}
-  std::optional<RawPacket> next() override { return reader_.next(); }
-  bool next_into(RawPacket& out) override { return reader_.next_into(out); }
-  [[nodiscard]] bool ok() const override { return reader_.ok(); }
-  [[nodiscard]] const std::string& error() const override { return reader_.error(); }
-
- private:
-  PcapReader reader_;
-};
-
-/// Opens a capture file of either format (classic pcap or pcapng),
-/// sniffing the magic number. Returns nullptr (with no throw) when the
-/// file cannot be opened or is neither format.
+/// Opens a capture of either format, sniffed from its magic. The file
+/// is opened once, so pipes, FIFOs and stdin work too. Returns nullptr
+/// when it cannot be opened or is neither pcap nor pcapng.
 std::unique_ptr<PacketSource> open_capture(const std::string& path);
 
 }  // namespace zpm::net

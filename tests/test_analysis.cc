@@ -95,6 +95,30 @@ TEST(Tables, Table3RowsKnownTypes) {
   EXPECT_TRUE(has_fec);
 }
 
+TEST(Tables, HealthAllClearIgnoresGaugesAndAccounting) {
+  core::AnalyzerHealth h;
+  EXPECT_TRUE(health_all_clear(h));
+  // Timing gauges (sharded ring backpressure, watchdog, kernel ring)
+  // and accounting-only counters are not loss.
+  h.ring_wait_spins = 4096;
+  h.source_stalls = 1;
+  h.kernel_packets = 100'000;
+  h.kernel_drops = 7;
+  h.frontend_rejected = 50;
+  h.sketch_evicted = 3;
+  h.overload_shed_l2 = 9;
+  h.offload_covered_packets = 20;
+  EXPECT_FALSE(h.all_clear());
+  EXPECT_TRUE(health_all_clear(h));
+  // A real drop is.
+  core::AnalyzerHealth dropped = h;
+  dropped.malformed_rtp = 1;
+  EXPECT_FALSE(health_all_clear(dropped));
+  core::AnalyzerHealth truncated;
+  truncated.bad_l3 = 2;
+  EXPECT_FALSE(health_all_clear(truncated));
+}
+
 TEST(CampusRun, SamplesCarryDistributionShapes) {
   const auto& r = small_run();
   std::size_t video = 0, audio = 0, screen_zero_fps = 0, screen = 0;

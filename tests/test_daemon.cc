@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -79,7 +80,7 @@ std::vector<std::uint8_t> file_bytes(const fs::path& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// Sorted epoch-NNNNNNNN.bin paths in `dir`.
+/// Sorted epoch-<site>-NNNNNNNN.bin paths in `dir`.
 std::vector<fs::path> epoch_files(const fs::path& dir) {
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -286,6 +287,80 @@ TEST(MonitorDaemon, ReloadAppliesLimitsImmediately) {
   ASSERT_TRUE(
       load_epoch_report(epoch_files(dir).front().string(), first, nullptr));
   EXPECT_EQ(first.packets, 800u);
+}
+
+/// Every regular file in `dir` by name, with its bytes.
+std::map<std::string, std::vector<std::uint8_t>> dir_files(const fs::path& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> files;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.is_regular_file())
+      files[entry.path().filename().string()] = file_bytes(entry.path());
+  return files;
+}
+
+TEST(MonitorDaemon, WithoutSnapshotWritesTheSameReports) {
+  // The snapshot-only state is built only when snapshotting; the epoch
+  // files, journal and MANIFEST must not notice.
+  const auto with_dir = state_dir("daemon_with_snapshot");
+  const auto without_dir = state_dir("daemon_without_snapshot");
+  auto with_cfg = base_config(with_dir, 700);
+  with_cfg.snapshot_path = (with_dir / "state" / "snapshot.bin").string();
+  fs::create_directories(with_dir / "state");
+  auto without_cfg = base_config(without_dir, 700);
+  without_cfg.snapshot_path.clear();
+  for (auto* cfg : {&with_cfg, &without_cfg}) cfg->engine.collect_journal = true;
+
+  MonitorDaemon with_snapshot(std::move(with_cfg));
+  MonitorDaemon without_snapshot(std::move(without_cfg));
+  auto a = make_replay();
+  auto b = make_replay();
+  ASSERT_EQ(with_snapshot.run(a), 0);
+  ASSERT_EQ(without_snapshot.run(b), 0);
+  EXPECT_GE(without_snapshot.stats().epochs_rotated, 4u);
+  EXPECT_EQ(with_snapshot.stats().snapshots_written,
+            with_snapshot.stats().epochs_rotated);
+  EXPECT_EQ(without_snapshot.stats().snapshots_written, 0u);
+  EXPECT_EQ(without_snapshot.cumulative().cumulative_counters,
+            with_snapshot.cumulative().cumulative_counters);
+
+  const auto with_files = dir_files(with_dir);
+  const auto without_files = dir_files(without_dir);
+  EXPECT_TRUE(without_files.contains("MANIFEST"));
+  EXPECT_EQ(epoch_files(without_dir).size(), without_snapshot.stats().epochs_rotated);
+  ASSERT_EQ(with_files.size(), without_files.size());
+  for (const auto& [name, bytes] : with_files) {
+    ASSERT_TRUE(without_files.contains(name)) << name;
+    EXPECT_EQ(bytes, without_files.at(name)) << name << " differs";
+  }
+}
+
+TEST(MonitorDaemon, SitesSharingAReportDirKeepTheirEpochFiles) {
+  const auto dir = state_dir("daemon_two_sites");
+  std::uint64_t rotated = 0;
+  for (const char* site : {"campus-a", "campus-b"}) {
+    auto config = base_config(dir, 900);
+    config.snapshot_path = (dir / (std::string(site) + ".snapshot")).string();
+    config.site = site;
+    config.engine.collect_journal = true;
+    MonitorDaemon daemon(std::move(config));
+    auto source = make_replay();
+    ASSERT_EQ(daemon.run(source), 0);
+    EXPECT_GE(daemon.stats().epochs_rotated, 2u);
+    rotated += daemon.stats().epochs_rotated;
+  }
+  const auto files = epoch_files(dir);
+  ASSERT_EQ(files.size(), rotated);
+  // Same trace, same limits: each site wrote the same epochs under its
+  // own name.
+  const std::size_t per_site = files.size() / 2;
+  for (std::size_t i = 0; i < per_site; ++i) {
+    char seq[32];
+    std::snprintf(seq, sizeof(seq), "%08zu", i);
+    EXPECT_EQ(files[i].filename(), "epoch-campus-a-" + std::string(seq) + ".bin");
+    EXPECT_EQ(files[per_site + i].filename(),
+              "epoch-campus-b-" + std::string(seq) + ".bin");
+    EXPECT_EQ(file_bytes(files[i]), file_bytes(files[per_site + i]));
+  }
 }
 
 TEST(MonitorDaemon, FatalSourceErrorExitsNonzero) {

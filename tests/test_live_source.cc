@@ -1,13 +1,25 @@
 // The continuous-source contract: ReplayLiveSource must deliver the
 // exact packet sequence of the underlying trace — independent of batch
 // size, pacing, loops (up to the documented timestamp shift), stalls
-// and skip_to position — and every BatchSource must keep EOF, transient
-// idleness and hard errors distinguishable through SourceStatus.
+// and skip_to position, and whether the trace is mapped or arrives
+// through a FIFO — with views that point into the trace mapping and
+// survive a move of the source; and every BatchSource must keep EOF,
+// transient idleness and hard errors distinguishable through
+// SourceStatus.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/live_source.h"
@@ -73,6 +85,104 @@ void expect_same_packet(const RawPacket& a, const RawPacket& b,
   ASSERT_EQ(a.orig_len, b.orig_len) << "packet " << index;
 }
 
+void expect_same_packets(const std::vector<RawPacket>& got,
+                         const std::vector<RawPacket>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_same_packet(got[i], expected[i], i);
+}
+
+std::string file_contents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Rewrites the meeting trace as pcapng (SHB, one Ethernet IDB with
+/// microsecond ticks, one EPB per packet); returns its path.
+const std::string& meeting_trace_pcapng() {
+  static const std::string path = [] {
+    std::string buf;
+    auto u16 = [&](std::uint16_t v) {
+      buf.push_back(static_cast<char>(v));
+      buf.push_back(static_cast<char>(v >> 8));
+    };
+    auto u32 = [&](std::uint32_t v) {
+      u16(static_cast<std::uint16_t>(v));
+      u16(static_cast<std::uint16_t>(v >> 16));
+    };
+    for (std::uint32_t v : {0x0a0d0d0au, 28u, 0x1a2b3c4du}) u32(v);
+    u16(1);
+    u16(0);
+    for (std::uint32_t v : {0xffffffffu, 0xffffffffu, 28u, 1u, 20u}) u32(v);
+    u16(1);
+    u16(0);
+    u32(65535);
+    u32(20);
+    TraceSource trace(meeting_trace());
+    while (auto pkt = trace.next()) {
+      const auto size = static_cast<std::uint32_t>(pkt->data.size());
+      const std::uint32_t len = 32 + ((size + 3u) & ~3u);
+      const auto ticks = static_cast<std::uint64_t>(pkt->ts.us());
+      for (std::uint32_t v : {6u, len, 0u, static_cast<std::uint32_t>(ticks >> 32),
+                              static_cast<std::uint32_t>(ticks), size, size})
+        u32(v);
+      buf.append(reinterpret_cast<const char*>(pkt->data.data()), size);
+      while (buf.size() % 4 != 0) buf.push_back(0);
+      u32(len);
+    }
+    const std::string p = temp_path("live_source_meeting.pcapng");
+    write_file(p, buf);
+    return p;
+  }();
+  return path;
+}
+
+/// Address ranges at which this process maps `path`, read from
+/// /proc/self/maps; empty where that file does not exist.
+std::vector<std::pair<std::uintptr_t, std::uintptr_t>> mappings_of(
+    const std::string& path) {
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> ranges;
+  const std::string name = std::filesystem::canonical(path).string();
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    // "start-end perms offset dev inode   /path/name"
+    const auto slash = line.find('/');
+    if (slash == std::string::npos || line.compare(slash, std::string::npos, name) != 0)
+      continue;
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR, &lo, &hi) == 2)
+      ranges.emplace_back(lo, hi);
+  }
+  return ranges;
+}
+
+/// Feeds `bytes` into the FIFO at `path` from a thread, once a reader
+/// has opened it; gives up after a few seconds without one.
+std::thread fifo_writer(const std::string& path, std::string bytes) {
+  return std::thread([path, bytes = std::move(bytes)] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int fd = -1;
+    while ((fd = ::open(path.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (fd < 0) return;
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+    for (std::size_t off = 0; off < bytes.size();) {
+      const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+}
+
 TEST(TraceSourceStatus, BatchesThenEndOfStream) {
   TraceSource source(meeting_trace());
   ASSERT_TRUE(source.ok());
@@ -122,11 +232,7 @@ TEST(ReplayLiveSource, MatchesTraceExactly) {
   cfg.path = meeting_trace();
   ReplayLiveSource replay(cfg);
   ASSERT_TRUE(replay.ok()) << replay.error();
-  const auto got = drain(replay, 512);
-
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    expect_same_packet(got[i], expected[i], i);
+  expect_same_packets(drain(replay, 512), expected);
   EXPECT_EQ(replay.packets_read(), expected.size());
 }
 
@@ -137,10 +243,7 @@ TEST(ReplayLiveSource, BatchContentIndependentOfBatchSize) {
   ReplayLiveSource huge(cfg);
   ASSERT_TRUE(tiny.ok());
   ASSERT_TRUE(huge.ok());
-  const auto a = drain(tiny, 7);
-  const auto b = drain(huge, 4096);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) expect_same_packet(a[i], b[i], i);
+  expect_same_packets(drain(tiny, 7), drain(huge, 4096));
 }
 
 TEST(ReplayLiveSource, LoopsShiftTimestampsByStride) {
@@ -248,10 +351,7 @@ TEST(ReplayLiveSource, PacingDelaysButNeverChangesContent) {
   // The very first poll starts the pacing clock at zero allowance.
   std::vector<RawPacketView> batch;
   EXPECT_EQ(paced.poll_batch(batch, 512), SourceStatus::Idle);
-  const auto got = drain(paced, 512);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    expect_same_packet(got[i], expected[i], i);
+  expect_same_packets(drain(paced, 512), expected);
 }
 
 TEST(ReplayLiveSource, PacingRebasesAfterSkipTo) {
@@ -320,6 +420,143 @@ TEST(ReplayLiveSource, MissingTraceIsError) {
   std::vector<RawPacketView> batch;
   EXPECT_EQ(replay.poll_batch(batch, 16), SourceStatus::Error);
   EXPECT_FALSE(replay.reopen());
+}
+
+/// Drains `replay` and counts the delivered views whose bytes are not
+/// inside one of `ranges`.
+std::size_t views_outside(ReplayLiveSource& replay,
+                          const std::vector<std::pair<std::uintptr_t, std::uintptr_t>>& ranges) {
+  std::size_t outside = 0;
+  std::vector<RawPacketView> batch;
+  while (replay.poll_batch(batch, 500) == SourceStatus::Batch) {
+    for (const auto& view : batch) {
+      const auto lo = reinterpret_cast<std::uintptr_t>(view.data.data());
+      const auto hi = lo + view.data.size();
+      bool inside = false;
+      for (const auto& [begin, end] : ranges) inside |= lo >= begin && hi <= end;
+      outside += inside ? 0 : 1;
+    }
+  }
+  return outside;
+}
+
+TEST(ReplayLiveSource, ViewsPointIntoTheMapping) {
+  for (const std::string& path : {meeting_trace(), meeting_trace_pcapng()}) {
+    ReplayLiveSourceConfig cfg;
+    cfg.path = path;
+    cfg.loops = 2;
+    ReplayLiveSource replay(cfg);
+    ASSERT_TRUE(replay.ok()) << replay.error();
+    EXPECT_TRUE(replay.mapped()) << path;
+    const auto ranges = mappings_of(path);
+    if (ranges.empty()) GTEST_SKIP() << "no /proc/self/maps entry for " << path;
+    EXPECT_EQ(views_outside(replay, ranges), 0u) << path;
+    EXPECT_EQ(replay.packets_read(), 2 * replay.trace_packets()) << path;
+  }
+}
+
+TEST(ReplayLiveSource, PcapngReplaysLikePcap) {
+  ReplayLiveSourceConfig cfg;
+  cfg.path = meeting_trace();
+  cfg.loops = 2;
+  ReplayLiveSource pcap(cfg);
+  cfg.path = meeting_trace_pcapng();
+  ReplayLiveSource pcapng(cfg);
+  ASSERT_TRUE(pcap.ok()) << pcap.error();
+  ASSERT_TRUE(pcapng.ok()) << pcapng.error();
+  expect_same_packets(drain(pcapng, 512), drain(pcap, 512));
+}
+
+TEST(ReplayLiveSource, ViewsSurviveAMove) {
+  ReplayLiveSourceConfig cfg;
+  cfg.path = meeting_trace();
+  ReplayLiveSource reference(cfg);
+  ASSERT_TRUE(reference.ok());
+  const auto expected = drain(reference, 512);
+
+  ReplayLiveSource original(cfg);
+  ASSERT_TRUE(original.ok());
+  std::vector<RawPacketView> first;
+  ASSERT_EQ(original.poll_batch(first, 64), SourceStatus::Batch);
+  ReplayLiveSource moved(std::move(original));
+  // Views handed out before the move still read the same bytes...
+  std::vector<RawPacket> got;
+  for (const auto& view : first) got.push_back(view.to_owned());
+  // ...and the moved source carries on where the original stopped.
+  const auto rest = drain(moved, 512);
+  got.insert(got.end(), rest.begin(), rest.end());
+  expect_same_packets(got, expected);
+}
+
+TEST(ReplayLiveSource, FifoReplaysThroughOwnedCopies) {
+  const std::string fifo = temp_path("live_source.fifo");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer = fifo_writer(fifo, file_contents(meeting_trace()));
+  ReplayLiveSourceConfig cfg;
+  cfg.path = fifo;
+  cfg.loops = 3;
+  ReplayLiveSource from_fifo(cfg);
+  writer.join();
+  std::remove(fifo.c_str());
+  ASSERT_TRUE(from_fifo.ok()) << from_fifo.error();
+  EXPECT_FALSE(from_fifo.mapped());
+
+  // Loop 0 is exactly what TraceSource yields; all three loops match a
+  // mapped replay of the same file, stride shifts included. The owned
+  // copies move with the source like the mapping does.
+  TraceSource trace(meeting_trace());
+  const auto one_pass = drain(trace, 512);
+  cfg.path = meeting_trace();
+  ReplayLiveSource from_file(cfg);
+  ASSERT_TRUE(from_file.ok());
+  EXPECT_EQ(from_fifo.trace_packets(), one_pass.size());
+  EXPECT_EQ(from_fifo.loop_stride().us(), from_file.loop_stride().us());
+  ReplayLiveSource moved(std::move(from_fifo));
+  const auto got = drain(moved, 333);
+  ASSERT_EQ(got.size(), 3 * one_pass.size());
+  expect_same_packets(
+      std::vector<RawPacket>(got.begin(),
+                             got.begin() + static_cast<std::ptrdiff_t>(one_pass.size())),
+      one_pass);
+  expect_same_packets(got, drain(from_file, 512));
+}
+
+TEST(ReplayLiveSource, LoadErrorsKeepTheirMessages) {
+  auto error_of = [](const std::string& path) {
+    ReplayLiveSourceConfig cfg;
+    cfg.path = path;
+    ReplayLiveSource replay(cfg);
+    EXPECT_FALSE(replay.ok()) << path;
+    std::vector<RawPacketView> batch;
+    EXPECT_EQ(replay.poll_batch(batch, 16), SourceStatus::Error) << path;
+    return replay.error();
+  };
+  const std::string missing = temp_path("replay_missing.pcap");
+  EXPECT_EQ(error_of(missing), "replay: cannot open " + missing +
+                                   " (cannot open capture " + missing + ")");
+
+  const std::string zero_bytes = temp_path("replay_zero_bytes.pcap");
+  write_file(zero_bytes, "");
+  EXPECT_EQ(error_of(zero_bytes), "replay: cannot open " + zero_bytes +
+                                      " (cannot open capture " + zero_bytes + ")");
+
+  const std::string garbage = temp_path("replay_garbage.pcap");
+  write_file(garbage, "this is not a capture file at all, not even close");
+  EXPECT_EQ(error_of(garbage),
+            "replay: cannot open " + garbage + " (unrecognized capture format)");
+
+  const std::string trace = file_contents(meeting_trace());
+  const std::string header_only = temp_path("replay_header_only.pcap");
+  write_file(header_only, trace.substr(0, 24));
+  EXPECT_EQ(error_of(header_only), "replay: " + header_only + " contains no records");
+
+  // Cut inside the first record's bytes: a parse error, not a short trace.
+  const std::string corrupt = temp_path("replay_corrupt.pcap");
+  write_file(corrupt, trace.substr(0, 24 + 16 + 10));
+  EXPECT_EQ(error_of(corrupt), "replay: " + corrupt + ": truncated packet");
+
+  for (const auto& p : {zero_bytes, garbage, header_only, corrupt}) std::remove(p.c_str());
 }
 
 TEST(LiveSource, UnavailableBackendFailsCleanly) {
