@@ -447,9 +447,6 @@ int main(int argc, char** argv) {
   // Engaged on the batched file path when the front end is enabled;
   // outlives the loop so --frontend-stats can read its counters.
   std::optional<capture::BatchFilter> filter;
-  // Sketch-tier promotions in arrival order (--sketch-stats); side-band
-  // context only, never folded into the standard report.
-  std::vector<capture::BatchVerdicts::Promotion> promotions;
   // Overload-governor state for the batched path (--overload): this CLI
   // runs its own small governed loop (the daemon's lives inside
   // analysis::EpochEngine); the shed tallies and peak level join the
@@ -538,8 +535,6 @@ int main(int argc, char** argv) {
           shedder.apply(level, batch, nullptr, shed_run, shed_verdicts);
         } else if (filter) {
           filter->classify(batch, verdicts);
-          promotions.insert(promotions.end(), verdicts.promotions.begin(),
-                            verdicts.promotions.end());
           std::span<const net::RawPacketView> dispatch(batch);
           const capture::BatchVerdicts* v = &verdicts;
           if (level > 0 &&
@@ -714,7 +709,8 @@ int main(int argc, char** argv) {
                   util::with_commas(ts.promotions).c_str(),
                   util::with_commas(ts.demotions).c_str(),
                   util::with_commas(ts.evictions).c_str());
-      if (!promotions.empty()) {
+      // Side-band context only, never folded into the standard report.
+      if (const auto& promotions = filter->promotions(); !promotions.empty()) {
         std::uint64_t carried_pkts = 0, carried_bytes = 0;
         for (const auto& p : promotions) {
           carried_pkts += p.carried.packets;

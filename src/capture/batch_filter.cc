@@ -1,10 +1,14 @@
 #include "capture/batch_filter.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <thread>
 
 #include "proto/stun.h"
+#include "util/spsc_ring.h"
 #include "zoom/classify.h"
 #include "zoom/constants.h"
 
@@ -134,7 +138,132 @@ void FlowDispatchTable::grow() {
 }
 
 // ---------------------------------------------------------------------------
+// Sketch worker
+
+namespace {
+
+/// One tier operation, queued by the producer in packet order.
+struct SketchOp {
+  enum class Kind : std::uint8_t { Absorb, Promote, Demote };
+  net::PackedFlowKey key;
+  std::uint64_t hash = 0;
+  sketch::FlowStats carried;  ///< Demote: the exact tier's aggregate
+  std::uint32_t arg = 0;      ///< Absorb: wire bytes; Promote: owner shard
+  Kind kind = Kind::Absorb;
+};
+
+/// Ops in flight between producer and worker: 1.5 MiB of ring, 32
+/// classify() batches of 1024 all-rejected packets.
+constexpr std::size_t kRingOps = std::size_t{1} << 15;
+/// Ops the worker takes off the ring per round.
+constexpr std::size_t kPopOps = 1024;
+
+}  // namespace
+
+/// The per-shard tiers plus the thread that owns them. The producer
+/// (classify / demote_flow) only touches `pending_`, the ring's producer
+/// side and `published_`; the worker only the ring's consumer side, the
+/// tiers and `promotions_`. Tier state is read on the producer side
+/// after drain(), whose acquire pairs with the worker's release.
+class BatchFilter::SketchWorker {
+ public:
+  SketchWorker(std::size_t shards, std::size_t budget) {
+    tiers_.reserve(shards);
+    for (std::size_t i = 0; i < shards; ++i) tiers_.emplace_back(budget / shards);
+  }
+
+  SketchWorker(const SketchWorker&) = delete;
+  SketchWorker& operator=(const SketchWorker&) = delete;
+
+  ~SketchWorker() {
+    if (!thread_.joinable()) return;
+    ring_->close();  // the worker applies what is queued, then exits
+    thread_.join();
+  }
+
+  void queue(const SketchOp& op) {
+    // Until something has been absorbed or demoted every tier is empty,
+    // and promoting from an empty tier changes nothing and carries
+    // nothing: such ops are skipped, so a filter that never rejects
+    // never starts the worker.
+    if (op.kind == SketchOp::Kind::Promote && !fed_) return;
+    fed_ = true;
+    pending_.push_back(op);
+  }
+
+  /// Hands the queued ops to the worker with one ring push, starting
+  /// the worker on the first op. Blocks while the ring is full.
+  void publish() {
+    if (pending_.empty()) return;
+    if (!thread_.joinable()) {
+      ring_.emplace(kRingOps);
+      thread_ = std::thread([this] { run(); });
+    }
+    ring_->push_batch(pending_);
+    published_ += pending_.size();
+    pending_.clear();
+  }
+
+  /// Waits until the worker has applied every published op.
+  void drain() const {
+    util::Backoff backoff;
+    while (applied_.load(std::memory_order_acquire) != published_) backoff.wait();
+  }
+
+  [[nodiscard]] const std::vector<sketch::FlowTier>& tiers() const {
+    drain();
+    return tiers_;
+  }
+  [[nodiscard]] const std::vector<Promotion>& promotions() const {
+    drain();
+    return promotions_;
+  }
+
+ private:
+  void run() {
+    std::vector<SketchOp> ops;
+    ops.reserve(kPopOps);
+    while (ring_->pop_batch(ops, kPopOps) > 0) {
+      for (const SketchOp& op : ops) apply(op);
+      applied_.fetch_add(ops.size(), std::memory_order_release);
+      ops.clear();
+    }
+  }
+
+  void apply(const SketchOp& op) {
+    sketch::FlowTier& tier = tiers_[op.hash % tiers_.size()];
+    switch (op.kind) {
+      case SketchOp::Kind::Absorb:
+        tier.absorb(op.key, op.hash, op.arg);
+        break;
+      case SketchOp::Kind::Promote: {
+        const sketch::FlowStats carried = tier.promote(op.key, op.hash);
+        if (carried.packets > 0)
+          promotions_.push_back(Promotion{op.key.unpack(), op.arg, carried});
+        break;
+      }
+      case SketchOp::Kind::Demote:
+        tier.demote(op.key, op.hash, op.carried);
+        break;
+    }
+  }
+
+  std::vector<sketch::FlowTier> tiers_;  // one per shard
+  std::vector<Promotion> promotions_;
+  std::vector<SketchOp> pending_;        // producer: this batch's ops
+  std::uint64_t published_ = 0;          // producer: ops pushed so far
+  bool fed_ = false;                     // producer: an absorb/demote was queued
+  std::atomic<std::uint64_t> applied_{0};
+  std::optional<util::SpscRing<SketchOp>> ring_;  // created with the thread
+  std::thread thread_;
+};
+
+// ---------------------------------------------------------------------------
 // BatchFilter
+
+BatchFilter::BatchFilter(BatchFilter&&) noexcept = default;
+BatchFilter& BatchFilter::operator=(BatchFilter&&) noexcept = default;
+BatchFilter::~BatchFilter() = default;
 
 BatchFilter::BatchFilter(BatchFilterConfig config, Mode mode)
     : config_(std::move(config)) {
@@ -146,15 +275,14 @@ BatchFilter::BatchFilter(BatchFilterConfig config, Mode mode)
   candidates_.assign(1 << 10, 0);
   candidates_mask_ = candidates_.size() - 1;
   if (config_.flow_memory_budget > 0) {
-    const std::size_t shards = config_.shards > 0 ? config_.shards : 1;
-    const std::size_t per_shard = config_.flow_memory_budget / shards;
-    tiers_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) tiers_.emplace_back(per_shard);
+    sketch_ = std::make_unique<SketchWorker>(
+        config_.shards > 0 ? config_.shards : 1, config_.flow_memory_budget);
   }
   if (config_.dataplane_offload) {
-    // One offload per shard, mirroring the sketch tier: every update
-    // happens on the producer thread inside classify(), so the register
-    // partitioning (and its collision pattern) follows the shard map.
+    // One offload per shard, partitioned like the sketch tier: every
+    // update happens on the producer thread inside classify(), so the
+    // register partitioning (and its collision pattern) follows the
+    // shard map.
     const std::size_t shards = config_.shards > 0 ? config_.shards : 1;
     offloads_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i) offloads_.emplace_back(config_.offload);
@@ -169,26 +297,38 @@ OffloadReport BatchFilter::offload_report() const {
 
 bool BatchFilter::demote_flow(const net::FiveTuple& canonical,
                               const sketch::FlowStats& carried) {
-  if (tiers_.empty()) return false;
+  if (!sketch_) return false;
   if (!flows_.erase(canonical)) return false;
   const net::PackedFlowKey key(canonical);
-  const std::uint64_t hash = net::canonical_flow_hash(key);
-  tiers_[hash % tiers_.size()].demote(key, hash, carried);
+  sketch_->queue(SketchOp{key, net::canonical_flow_hash(key), carried, 0,
+                          SketchOp::Kind::Demote});
+  sketch_->publish();
   return true;
 }
 
 std::uint64_t BatchFilter::sketch_evicted() const {
+  if (!sketch_) return 0;
   std::uint64_t total = 0;
-  for (const auto& tier : tiers_)
+  for (const auto& tier : sketch_->tiers())
     total += tier.stats().evictions + tier.stats().demotions;
   return total;
 }
 
 sketch::TierReport BatchFilter::sketch_report(std::size_t limit) const {
   std::vector<const sketch::FlowTier*> tiers;
-  tiers.reserve(tiers_.size());
-  for (const auto& tier : tiers_) tiers.push_back(&tier);
+  if (sketch_) {
+    for (const auto& tier : sketch_->tiers()) tiers.push_back(&tier);
+  }
   return sketch::merge_tiers(tiers, limit);
+}
+
+const sketch::FlowTier& BatchFilter::tier(std::size_t shard) const {
+  return sketch_->tiers()[shard];
+}
+
+const std::vector<Promotion>& BatchFilter::promotions() const {
+  static const std::vector<Promotion> kNone;
+  return sketch_ ? sketch_->promotions() : kNone;
 }
 
 bool BatchFilter::candidate_contains(std::uint64_t key) const {
@@ -479,9 +619,10 @@ void BatchFilter::resolve(std::span<const net::RawPacketView> batch,
       // The sketch tier summarizes what the filter rejects: counts only,
       // no decode, no verdict influence — captured wire bytes, same as
       // the analyzer's total-bytes accounting for these packets.
-      if (!tiers_.empty())
-        tiers_[hash % tiers_.size()].absorb(
-            key, hash, static_cast<std::uint32_t>(batch[i].data.size()));
+      if (sketch_)
+        sketch_->queue(SketchOp{key, hash, {},
+                                static_cast<std::uint32_t>(batch[i].data.size()),
+                                SketchOp::Kind::Absorb});
       continue;
     }
 
@@ -519,16 +660,11 @@ void BatchFilter::resolve(std::span<const net::RawPacketView> batch,
       }
     }
 
-    // First Admit of a flow the tier had already summarized (rejected
-    // until a STUN exchange armed its endpoint): hand the accumulated
-    // aggregate to exact tracking.
-    if (hit.inserted && !tiers_.empty()) {
-      const sketch::FlowStats carried =
-          tiers_[hash % tiers_.size()].promote(key, hash);
-      if (carried.packets > 0)
-        out.promotions.push_back(
-            BatchVerdicts::Promotion{canonical, hit.shard, carried});
-    }
+    // First Admit of a flow: if the tier had already summarized it
+    // (rejected until a STUN exchange armed its endpoint), the worker
+    // hands the accumulated aggregate to exact tracking.
+    if (hit.inserted && sketch_)
+      sketch_->queue(SketchOp{key, hash, {}, hit.shard, SketchOp::Kind::Promote});
   }
 }
 
@@ -544,6 +680,7 @@ void BatchFilter::classify(std::span<const net::RawPacketView> batch,
     ++stats_.scalar_batches;
   }
   resolve(batch, out);
+  if (sketch_) sketch_->publish();
 }
 
 }  // namespace zpm::capture

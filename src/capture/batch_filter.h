@@ -39,9 +39,23 @@
 //     such packets unconditionally).
 // Everything uncertain (non-IPv4, IP options, fragments, truncated L4,
 // short frames) is FullParse: the normal decode path, unchanged.
+//
+// Sketch tier threading: the per-shard sketch::FlowTiers are owned by
+// one worker thread, not by the caller of classify(). resolve() only
+// appends ordered ops — absorb (each Reject), promote (each flow's first
+// Admit), demote (demote_flow) — and classify() publishes a batch's ops
+// with one push into an SPSC ring; the worker applies them in that
+// order, so every tier sees exactly the sequence a synchronous tier
+// would. The worker starts on the first op: a filter whose tier is off
+// or that never rejects starts no thread. A full ring blocks the
+// producer (the ring's spin/yield/sleep backoff); nothing is dropped.
+// Tier readers (sketch_evicted, sketch_report, tier, promotions) first
+// wait until every published op is applied; callers read them at epoch
+// close or end of run, from the thread that calls classify().
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -78,20 +92,6 @@ inline constexpr std::uint8_t kFlagOffloadCovered = 0x04;
 /// are only resized (geometric capacity growth), so reusing one
 /// instance across batches is allocation-free in steady state.
 struct BatchVerdicts {
-  /// A flow the sketch tier handed to exact tracking during this batch:
-  /// its first Admit arrived after the tier had already summarized
-  /// packets for it (e.g. a P2P flow rejected until its endpoint was
-  /// STUN-armed). `carried` is the tier's accumulated pre-admission
-  /// aggregate — side-band context for the exact tracker, never part of
-  /// the standard report (bit-identity contract).
-  struct Promotion {
-    net::FiveTuple flow;  ///< canonical
-    std::uint32_t shard = 0;
-    sketch::FlowStats carried;
-
-    bool operator==(const Promotion&) const = default;
-  };
-
   std::vector<Verdict> verdicts;
   std::vector<std::uint8_t> flags;
   std::vector<std::uint32_t> shard;  ///< owner shard; valid for Admit
@@ -101,7 +101,6 @@ struct BatchVerdicts {
   /// header). The overload shedder keys its deterministic admission
   /// sampling off this, so replays shed identically.
   std::vector<std::uint64_t> flow_hash;
-  std::vector<Promotion> promotions;  ///< sketch-tier promotions, batch order
 
   void resize(std::size_t n) {
     verdicts.resize(n);
@@ -109,10 +108,23 @@ struct BatchVerdicts {
     shard.resize(n);
     slot.resize(n);
     flow_hash.resize(n);
-    promotions.clear();
   }
 
   bool operator==(const BatchVerdicts&) const = default;
+};
+
+/// A flow the sketch tier handed to exact tracking: its first Admit
+/// arrived after the tier had already summarized packets for it (e.g. a
+/// P2P flow rejected until its endpoint was STUN-armed). `carried` is
+/// the tier's accumulated pre-admission aggregate — side-band context
+/// for the exact tracker, never part of the standard report
+/// (bit-identity contract).
+struct Promotion {
+  net::FiveTuple flow;  ///< canonical
+  std::uint32_t shard = 0;
+  sketch::FlowStats carried;
+
+  bool operator==(const Promotion&) const = default;
 };
 
 /// Cumulative front-end counters (the filter's selectivity on a trace,
@@ -192,9 +204,9 @@ struct BatchFilterConfig {
   /// Total byte budget for the sketch tier, split evenly across one
   /// sketch::FlowTier per shard; 0 disables the tier. Rejected packets
   /// are summarized (never decoded or shipped), and a flow's first
-  /// Admit promotes its accumulated aggregate via
-  /// BatchVerdicts::promotions. Verdicts are identical with the tier on
-  /// or off — the tier only *observes* the Reject stream.
+  /// Admit promotes its accumulated aggregate (BatchFilter::promotions).
+  /// Verdicts are identical with the tier on or off — the tier only
+  /// *observes* the Reject stream.
   std::size_t flow_memory_budget = 0;
   /// Enables the data-plane metric offload (capture/offload.h): one
   /// DataPlaneOffload per shard absorbs the jitter/RTT metric work for
@@ -215,6 +227,10 @@ class BatchFilter {
   };
 
   explicit BatchFilter(BatchFilterConfig config, Mode mode = Mode::Auto);
+  BatchFilter(BatchFilter&&) noexcept;
+  BatchFilter& operator=(BatchFilter&&) noexcept;
+  /// Stops the sketch worker after it has applied every queued op.
+  ~BatchFilter();
 
   /// Classifies one batch. `out` is index-aligned with `batch` and
   /// fully overwritten. Stateful: STUN exchanges in this batch arm P2P
@@ -234,24 +250,28 @@ class BatchFilter {
 
   // --- Sketch tier ------------------------------------------------------
 
-  [[nodiscard]] bool sketch_enabled() const { return !tiers_.empty(); }
+  [[nodiscard]] bool sketch_enabled() const { return sketch_ != nullptr; }
   /// Hands an exact-tracked flow back to the sketch tier (meeting ended,
-  /// tracker evicted): removes it from the dispatch table and folds
-  /// `carried` — the aggregate the exact tier accumulated — into the
-  /// owning shard's sketch. Returns false when the flow is unknown or
-  /// the tier is disabled. Counted under `sketch-evicted`.
+  /// tracker evicted): removes it from the dispatch table now and queues
+  /// the fold of `carried` — the aggregate the exact tier accumulated —
+  /// into the owning shard's sketch. Returns false when the flow is
+  /// unknown or the tier is disabled. Counted under `sketch-evicted`.
   bool demote_flow(const net::FiveTuple& canonical,
                    const sketch::FlowStats& carried);
   /// Health feed for the `sketch-evicted` category: SpaceSaving
   /// minimum-entry evictions plus explicit demotions, all shards.
+  /// Waits for the worker to apply every queued op (file comment).
   [[nodiscard]] std::uint64_t sketch_evicted() const;
   /// Merged cross-shard tier report (stats sum + re-ranked heavy
   /// hitters). Exact merge: a flow lives in exactly one shard's tier.
+  /// Waits for the worker to apply every queued op.
   [[nodiscard]] sketch::TierReport sketch_report(std::size_t limit) const;
-  /// Shard-local tier (bench/test introspection); requires sketch_enabled().
-  [[nodiscard]] const sketch::FlowTier& tier(std::size_t shard) const {
-    return tiers_[shard];
-  }
+  /// Shard-local tier (bench/test introspection); requires
+  /// sketch_enabled(). Waits for the worker to apply every queued op.
+  [[nodiscard]] const sketch::FlowTier& tier(std::size_t shard) const;
+  /// Every promotion so far, in packet order (empty when the tier is
+  /// off). Waits for the worker to apply every queued op.
+  [[nodiscard]] const std::vector<Promotion>& promotions() const;
 
   // --- Data-plane offload -----------------------------------------------
 
@@ -293,11 +313,15 @@ class BatchFilter {
   void candidate_insert(std::uint64_t key);
   void candidate_grow();
 
+  /// The sketch tier and its worker thread (batch_filter.cc); heap-held
+  /// so the worker's state stays put when the filter moves.
+  class SketchWorker;
+
   BatchFilterConfig config_;
   bool simd_;
   FrontEndStats stats_;
   FlowDispatchTable flows_;
-  std::vector<sketch::FlowTier> tiers_;  // one per shard; empty = disabled
+  std::unique_ptr<SketchWorker> sketch_;  // null = tier disabled
   std::vector<DataPlaneOffload> offloads_;  // one per shard; empty = disabled
   std::vector<Probe> probes_;  // classify() scratch, reused
   std::vector<std::uint64_t> candidates_;

@@ -94,9 +94,6 @@ bool LoadShedder::apply(int level, std::span<const net::RawPacketView> run,
     out_verdicts.slot.push_back(verdicts->slot[i]);
     out_verdicts.flow_hash.push_back(verdicts->flow_hash[i]);
   }
-  // Promotions already mutated the tier during classify(); carry them to
-  // the dispatcher even if the admitting packet itself was sampled out.
-  out_verdicts.promotions = verdicts->promotions;
   return true;
 }
 

@@ -80,11 +80,10 @@ class LoadShedder {
 
   /// Applies `level` to a classified run. Returns true when shedding
   /// was applied: survivors (possibly zero) are in `out_run` /
-  /// `out_verdicts` (both fully overwritten; promotions copied through
-  /// from the original verdicts). Returns false when the run passes
-  /// untouched (level <= 0, or nothing to key on) — the caller must
-  /// then use the original batch, which keeps the governed-but-calm
-  /// path byte-identical to the ungoverned one.
+  /// `out_verdicts` (both fully overwritten). Returns false when the
+  /// run passes untouched (level <= 0, or nothing to key on) — the
+  /// caller must then use the original batch, which keeps the
+  /// governed-but-calm path byte-identical to the ungoverned one.
   /// `verdicts` may be null (no front end): only L4 sheds then.
   bool apply(int level, std::span<const net::RawPacketView> run,
              const capture::BatchVerdicts* verdicts,

@@ -207,10 +207,6 @@ void ParallelAnalyzer::offer_batch_impl(std::span<const net::RawPacketView> batc
   if (staging_.size() != shards_.size()) staging_.resize(shards_.size());
   for (auto& stage : staging_) stage.clear();
 
-  if (verdicts != nullptr && !verdicts->promotions.empty())
-    promotions_.insert(promotions_.end(), verdicts->promotions.begin(),
-                       verdicts->promotions.end());
-
   // Transient sources reuse their buffer after we return, so the batch
   // is copied once into a refcounted block all its items share. Pinned
   // sources (mapped traces) are analyzed in place.

@@ -171,17 +171,6 @@ class ParallelAnalyzer {
     return ring_shed_packets_;
   }
 
-  /// Sketch-tier promotions seen across all verdict-aware offer_batch()
-  /// calls, in arrival order: the pre-admission byte/packet aggregates
-  /// the capture front end carried for flows that reached exact
-  /// tracking. Side-band context only (reported via --sketch-stats);
-  /// never folded into the standard report, which stays bit-identical
-  /// with the tier on or off.
-  [[nodiscard]] const std::vector<capture::BatchVerdicts::Promotion>&
-  promotions() const {
-    return promotions_;
-  }
-
  private:
   struct Item;
   struct Shard;
@@ -222,9 +211,6 @@ class ParallelAnalyzer {
   // decoded or shipped to a shard.
   std::uint64_t frontend_rejected_packets_ = 0;
   std::uint64_t frontend_rejected_bytes_ = 0;
-
-  // Sketch-tier promotions accumulated from verdict batches.
-  std::vector<capture::BatchVerdicts::Promotion> promotions_;
 
   // Full items shed by bounded dispatch (see ring_shed_packets()).
   std::uint64_t ring_shed_packets_ = 0;

@@ -93,17 +93,15 @@ FlowStats CountMinSketch::estimate(std::uint64_t hash) const {
 
 HeavyTable::HeavyTable(std::size_t capacity) {
   if (capacity < 4) capacity = 4;
-  entries_.resize(capacity);
+  slots_.resize(capacity);
+  pos_.resize(capacity);
   heap_.reserve(capacity);
   // Index at least 2x capacity keeps open-addressing probes short.
   std::size_t index_size = 8;
   while (index_size < capacity * 2) index_size *= 2;
-  index_.assign(index_size, 0);
+  index_.resize(index_size);
   index_mask_ = index_size - 1;
-  // Thread the free list through the fixed entry storage.
-  for (std::size_t i = 0; i < capacity; ++i)
-    entries_[i].next_free = static_cast<std::uint32_t>(i + 2 <= capacity ? i + 2 : 0);
-  free_head_ = 1;
+  reset();
 }
 
 std::uint32_t* HeavyTable::index_slot(const net::PackedFlowKey& key,
@@ -111,14 +109,24 @@ std::uint32_t* HeavyTable::index_slot(const net::PackedFlowKey& key,
   std::size_t idx = hash & index_mask_;
   for (;;) {
     std::uint32_t slot = index_[idx];
-    if (slot == 0 || entries_[slot - 1].key == key) return &index_[idx];
+    if (slot == 0 || slots_[slot - 1].key == key) return &index_[idx];
+    idx = (idx + 1) & index_mask_;
+  }
+}
+
+std::uint32_t HeavyTable::lookup(const net::PackedFlowKey& key,
+                                 std::uint64_t hash) const {
+  std::size_t idx = hash & index_mask_;
+  for (;;) {
+    const std::uint32_t slot = index_[idx];
+    if (slot == 0 || slots_[slot - 1].key == key) return slot;
     idx = (idx + 1) & index_mask_;
   }
 }
 
 void HeavyTable::index_erase(const net::PackedFlowKey& key, std::uint64_t hash) {
   std::size_t idx = hash & index_mask_;
-  while (index_[idx] == 0 || !(entries_[index_[idx] - 1].key == key))
+  while (index_[idx] == 0 || !(slots_[index_[idx] - 1].key == key))
     idx = (idx + 1) & index_mask_;
   // Backward-shift deletion, same scheme as FlowDispatchTable::erase.
   std::size_t hole = idx;
@@ -126,7 +134,7 @@ void HeavyTable::index_erase(const net::PackedFlowKey& key, std::uint64_t hash) 
     const std::uint32_t slot = index_[next];
     if (slot == 0) break;
     const std::size_t home =
-        net::canonical_flow_hash(entries_[slot - 1].key) & index_mask_;
+        net::canonical_flow_hash(slots_[slot - 1].key) & index_mask_;
     if (((next - home) & index_mask_) >= ((next - hole) & index_mask_)) {
       index_[hole] = slot;
       hole = next;
@@ -136,72 +144,72 @@ void HeavyTable::index_erase(const net::PackedFlowKey& key, std::uint64_t hash) 
 }
 
 void HeavyTable::sift_up(std::uint32_t pos) {
-  const std::uint32_t entry = heap_[pos];
-  const std::uint64_t bytes = entries_[entry].bytes;
+  const HeapNode node = heap_[pos];
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 2;
-    if (entries_[heap_[parent]].bytes <= bytes) break;
-    heap_[pos] = heap_[parent];
-    entries_[heap_[pos]].heap_pos = pos;
+    if (heap_[parent].bytes <= node.bytes) break;
+    place(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = entry;
-  entries_[entry].heap_pos = pos;
+  place(pos, node);
 }
 
 void HeavyTable::sift_down(std::uint32_t pos) {
-  const std::uint32_t entry = heap_[pos];
-  const std::uint64_t bytes = entries_[entry].bytes;
-  const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
-  for (;;) {
-    std::uint32_t child = pos * 2 + 1;
-    if (child >= n) break;
-    if (child + 1 < n &&
-        entries_[heap_[child + 1]].bytes < entries_[heap_[child]].bytes)
-      ++child;
-    if (entries_[heap_[child]].bytes >= bytes) break;
-    heap_[pos] = heap_[child];
-    entries_[heap_[pos]].heap_pos = pos;
-    pos = child;
+  const HeapNode node = heap_[pos];
+  const auto n = static_cast<std::uint32_t>(heap_.size());
+  // Descend the min-child path (ties go left) to a leaf. Byte counts
+  // never decrease down the path, so the nodes that move up are exactly
+  // its prefix holding less than `node`.
+  std::uint32_t at = pos;
+  for (std::uint32_t child = pos * 2 + 1; child < n; child = at * 2 + 1) {
+    if (child + 1 < n && heap_[child + 1].bytes < heap_[child].bytes) ++child;
+    at = child;
   }
-  heap_[pos] = entry;
-  entries_[entry].heap_pos = pos;
+  while (at != pos && heap_[at].bytes >= node.bytes) at = (at - 1) / 2;
+  // Shift that prefix up one level; `node` lands where it ended.
+  HeapNode carry = node;
+  for (; at != pos; at = (at - 1) / 2) {
+    const HeapNode up = heap_[at];
+    place(at, carry);
+    carry = up;
+  }
+  place(pos, carry);
+}
+
+void HeavyTable::insert(std::uint32_t* index_entry, const Entry& e) {
+  const std::uint32_t slot = free_head_ - 1;
+  free_head_ = pos_[slot];
+  slots_[slot] = Slot{e.key, e.packets, e.error_bytes};
+  *index_entry = slot + 1;
+  heap_.push_back(HeapNode{e.bytes, slot});
+  sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
 }
 
 bool HeavyTable::offer(const net::PackedFlowKey& key, std::uint64_t hash,
                        std::uint64_t packet_inc, std::uint64_t byte_inc) {
-  std::uint32_t* slot = index_slot(key, hash);
-  if (*slot != 0) {
-    Entry& e = entries_[*slot - 1];
-    e.bytes += byte_inc;
-    e.packets += packet_inc;
-    sift_down(e.heap_pos);
+  std::uint32_t* index_entry = index_slot(key, hash);
+  if (*index_entry != 0) {
+    const std::uint32_t slot = *index_entry - 1;
+    slots_[slot].packets += packet_inc;
+    heap_[pos_[slot]].bytes += byte_inc;
+    sift_down(pos_[slot]);
     return false;
   }
   if (free_head_ != 0) {
-    // Room left: claim a free entry.
-    const std::uint32_t idx = free_head_ - 1;
-    Entry& e = entries_[idx];
-    free_head_ = e.next_free;
-    e.key = key;
-    e.bytes = byte_inc;
-    e.packets = packet_inc;
-    e.error_bytes = 0;
-    *slot = idx + 1;
-    heap_.push_back(idx);
-    sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+    // Room left: claim a free slot.
+    insert(index_entry, Entry{key, byte_inc, packet_inc, 0});
     return false;
   }
   // SpaceSaving replacement: the newcomer takes over the minimum entry,
   // inheriting its count as the overestimate bound.
-  const std::uint32_t idx = heap_[0];
-  Entry& e = entries_[idx];
+  HeapNode& min = heap_[0];
+  Slot& e = slots_[min.slot];
   index_erase(e.key, net::canonical_flow_hash(e.key));
   // The index slot for `key` may have shifted during the erase.
-  *index_slot(key, hash) = idx + 1;
+  *index_slot(key, hash) = min.slot + 1;
   e.key = key;
-  e.error_bytes = e.bytes;
-  e.bytes += byte_inc;
+  e.error_bytes = min.bytes;
+  min.bytes += byte_inc;
   // Packets inherit too (classic SpaceSaving): both counters must stay
   // upper bounds or FlowTier::estimate could undercount a flow whose
   // entry changed hands (caught by fuzz_sketch).
@@ -210,35 +218,30 @@ bool HeavyTable::offer(const net::PackedFlowKey& key, std::uint64_t hash,
   return true;
 }
 
-const HeavyTable::Entry* HeavyTable::find(const net::PackedFlowKey& key,
-                                          std::uint64_t hash) const {
-  std::size_t idx = hash & index_mask_;
-  for (;;) {
-    const std::uint32_t slot = index_[idx];
-    if (slot == 0) return nullptr;
-    if (entries_[slot - 1].key == key) return &entries_[slot - 1];
-    idx = (idx + 1) & index_mask_;
-  }
+std::optional<HeavyTable::Entry> HeavyTable::find(const net::PackedFlowKey& key,
+                                                  std::uint64_t hash) const {
+  const std::uint32_t slot = lookup(key, hash);
+  if (slot == 0) return std::nullopt;
+  const Slot& s = slots_[slot - 1];
+  return Entry{s.key, heap_[pos_[slot - 1]].bytes, s.packets, s.error_bytes};
 }
 
 bool HeavyTable::erase(const net::PackedFlowKey& key, std::uint64_t hash) {
-  const Entry* found = find(key, hash);
-  if (found == nullptr) return false;
-  const std::uint32_t idx =
-      static_cast<std::uint32_t>(found - entries_.data());
+  const std::uint32_t found = lookup(key, hash);
+  if (found == 0) return false;
+  const std::uint32_t slot = found - 1;
   index_erase(key, hash);
-  // Remove from the heap: move the last element into the hole.
-  const std::uint32_t pos = entries_[idx].heap_pos;
-  const std::uint32_t last = heap_.back();
+  // Remove from the heap: move the last node into the hole.
+  const std::uint32_t pos = pos_[slot];
+  const HeapNode last = heap_.back();
   heap_.pop_back();
   if (pos < heap_.size()) {
-    heap_[pos] = last;
-    entries_[last].heap_pos = pos;
+    place(pos, last);
     sift_down(pos);
-    sift_up(entries_[last].heap_pos);
+    sift_up(pos_[last.slot]);
   }
-  entries_[idx].next_free = free_head_;
-  free_head_ = idx + 1;
+  pos_[slot] = free_head_;
+  free_head_ = slot + 1;
   return true;
 }
 
@@ -259,26 +262,18 @@ void HeavyTable::serialize(util::ByteWriter& w) const {
 void HeavyTable::reset() {
   std::fill(index_.begin(), index_.end(), 0u);
   heap_.clear();
-  const std::size_t cap = entries_.size();
+  // Thread the free list through the position array.
+  const std::size_t cap = slots_.size();
   for (std::size_t i = 0; i < cap; ++i)
-    entries_[i].next_free = static_cast<std::uint32_t>(i + 2 <= cap ? i + 2 : 0);
+    pos_[i] = static_cast<std::uint32_t>(i + 2 <= cap ? i + 2 : 0);
   free_head_ = 1;
 }
 
 bool HeavyTable::restore_entry(const Entry& e, std::uint64_t hash) {
-  std::uint32_t* slot = index_slot(e.key, hash);
-  if (*slot != 0) return false;  // duplicate key in the stored stream
+  std::uint32_t* index_entry = index_slot(e.key, hash);
+  if (*index_entry != 0) return false;  // duplicate key in the stored stream
   if (free_head_ == 0) return false;
-  const std::uint32_t idx = free_head_ - 1;
-  Entry& dst = entries_[idx];
-  free_head_ = dst.next_free;
-  dst.key = e.key;
-  dst.bytes = e.bytes;
-  dst.packets = e.packets;
-  dst.error_bytes = e.error_bytes;
-  *slot = idx + 1;
-  heap_.push_back(idx);
-  sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+  insert(index_entry, e);
   return true;
 }
 
@@ -303,7 +298,10 @@ bool HeavyTable::deserialize(util::ByteReader& r) {
 std::vector<HeavyTable::Entry> HeavyTable::top() const {
   std::vector<Entry> out;
   out.reserve(heap_.size());
-  for (std::uint32_t idx : heap_) out.push_back(entries_[idx]);
+  for (const HeapNode& node : heap_) {
+    const Slot& s = slots_[node.slot];
+    out.push_back(Entry{s.key, node.bytes, s.packets, s.error_bytes});
+  }
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     if (a.bytes != b.bytes) return a.bytes > b.bytes;
     // Deterministic total order for equal counts.
@@ -320,9 +318,7 @@ FlowTier::FlowTier(std::size_t budget_bytes)
     : budget_(budget_bytes),
       // ~1/4 of the budget buys heavy-hitter entries; each costs its
       // Entry plus its share of the 2x index and the heap slot.
-      heavy_(std::max<std::size_t>(
-          16, (budget_bytes / 4) /
-                  (sizeof(HeavyTable::Entry) + 3 * sizeof(std::uint32_t)))),
+      heavy_(std::max<std::size_t>(16, (budget_bytes / 4) / HeavyTable::kBytesPerEntry)),
       cm_(budget_bytes > heavy_.memory_bytes()
               ? budget_bytes - heavy_.memory_bytes()
               : 0) {}
@@ -366,7 +362,7 @@ FlowStats FlowTier::estimate(const net::PackedFlowKey& key,
   // only in the 64-bit heavy entry. The max of the two stays an upper
   // bound in every interleaving.
   FlowStats est = cm_.estimate(hash);
-  if (const HeavyTable::Entry* e = heavy_.find(key, hash)) {
+  if (const auto e = heavy_.find(key, hash)) {
     est.packets = std::max(est.packets, e->packets);
     est.bytes = std::max(est.bytes, e->bytes);
   }

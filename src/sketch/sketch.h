@@ -23,13 +23,17 @@
 //     demote() when exact tracking lets a flow go.
 //
 // Everything is sized once from a byte budget and never reallocates:
-// the hot path (absorb / estimate) is allocation-free, and a tier is
-// owned by exactly one producer thread per shard — lock-free by
-// construction, merged at report time (flows map to exactly one shard,
-// so the merge is exact concatenation).
+// the hot path (absorb / estimate) is allocation-free. A tier is not
+// thread-safe and needs none: capture::BatchFilter keeps one tier per
+// shard on a single sketch worker thread, which applies the front end's
+// absorb/promote/demote ops in packet order, and reads tier state only
+// after the worker has applied every queued op. Per-shard tiers merge
+// at report time (flows map to exactly one shard, so the merge is exact
+// concatenation).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -106,18 +110,43 @@ class CountMinSketch {
 /// flows by byte volume with exact keys. When a new flow arrives at a
 /// full table the minimum entry is evicted and the newcomer inherits
 /// its count as the classic overestimate (recorded in `error_bytes`).
-/// Fixed capacity, free-list entry storage, intrusive min-heap — no
-/// allocation after construction.
+/// Fixed capacity, free-list slot storage, min-heap — no allocation
+/// after construction.
+///
+/// Layout: each heap node carries its entry's byte count inline, so
+/// sifts compare within the heap array; heap positions live in a dense
+/// side array (which threads the free list while a slot is free).
+/// sift_down is Floyd's bottom-up sift: it descends the min-child path
+/// to a leaf, then climbs back to the first node below the sifted
+/// value — the same moves, and the same final heap, as the textbook
+/// sift, with one comparison per level on the way down instead of two.
 class HeavyTable {
+ private:
+  struct Slot {
+    net::PackedFlowKey key;
+    std::uint64_t packets = 0;
+    std::uint64_t error_bytes = 0;
+  };
+  struct HeapNode {
+    std::uint64_t bytes = 0;
+    std::uint32_t slot = 0;
+  };
+
  public:
+  /// A tracked flow's counts (a copy; the table stores them split).
   struct Entry {
     net::PackedFlowKey key;
     std::uint64_t bytes = 0;        ///< count (includes inherited error)
     std::uint64_t packets = 0;      ///< count (inherits on takeover, like bytes)
     std::uint64_t error_bytes = 0;  ///< inherited overestimate bound
-    std::uint32_t heap_pos = 0;
-    std::uint32_t next_free = 0;
   };
+
+  /// Footprint per unit of capacity: slot, heap node, position and the
+  /// share of the 2x index. FlowTier sizes the table from it; it must
+  /// stay 60 so a budget keeps its geometry (tier images in snapshots).
+  static constexpr std::size_t kBytesPerEntry =
+      sizeof(Slot) + sizeof(HeapNode) + 3 * sizeof(std::uint32_t);
+  static_assert(kBytesPerEntry == 60);
 
   explicit HeavyTable(std::size_t capacity);
 
@@ -126,9 +155,9 @@ class HeavyTable {
   bool offer(const net::PackedFlowKey& key, std::uint64_t hash,
              std::uint64_t packet_inc, std::uint64_t byte_inc);
 
-  /// The tracked entry for `key`, or nullptr when untracked.
-  [[nodiscard]] const Entry* find(const net::PackedFlowKey& key,
-                                  std::uint64_t hash) const;
+  /// The tracked entry for `key`, or nullopt when untracked.
+  [[nodiscard]] std::optional<Entry> find(const net::PackedFlowKey& key,
+                                          std::uint64_t hash) const;
 
   /// Removes `key` (promotion to exact tracking). Returns true when the
   /// key was tracked.
@@ -138,7 +167,7 @@ class HeavyTable {
   [[nodiscard]] std::vector<Entry> top() const;
 
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
   /// Appends capacity + tracked entries (in deterministic top() order,
   /// exact counts including error_bytes) to `w`.
@@ -150,26 +179,37 @@ class HeavyTable {
   /// empty, never half-loaded.
   bool deserialize(util::ByteReader& r);
   [[nodiscard]] std::size_t memory_bytes() const {
-    return entries_.capacity() * sizeof(Entry) +
+    return slots_.capacity() * sizeof(Slot) +
+           pos_.capacity() * sizeof(std::uint32_t) +
            index_.capacity() * sizeof(std::uint32_t) +
-           heap_.capacity() * sizeof(std::uint32_t);
+           heap_.capacity() * sizeof(HeapNode);
   }
 
  private:
   [[nodiscard]] std::uint32_t* index_slot(const net::PackedFlowKey& key,
                                           std::uint64_t hash);
+  /// Slot index + 1 of `key`, 0 when untracked.
+  [[nodiscard]] std::uint32_t lookup(const net::PackedFlowKey& key,
+                                     std::uint64_t hash) const;
   void index_erase(const net::PackedFlowKey& key, std::uint64_t hash);
+  void place(std::uint32_t pos, const HeapNode& node) {
+    heap_[pos] = node;
+    pos_[node.slot] = pos;
+  }
   void sift_up(std::uint32_t pos);
   void sift_down(std::uint32_t pos);
+  /// Claims a free slot for a new key and pushes it onto the heap.
+  void insert(std::uint32_t* index_entry, const Entry& e);
 
   void reset();  // empty the table, re-thread the free list
   bool restore_entry(const Entry& e, std::uint64_t hash);
 
-  std::vector<Entry> entries_;        // fixed storage, free-list linked
-  std::vector<std::uint32_t> index_;  // open addressing: entry idx + 1, 0 empty
-  std::vector<std::uint32_t> heap_;   // min-heap over entry bytes
+  std::vector<Slot> slots_;           // fixed storage
+  std::vector<std::uint32_t> pos_;    // live slot: heap position; free: next free + 1
+  std::vector<std::uint32_t> index_;  // open addressing: slot idx + 1, 0 empty
+  std::vector<HeapNode> heap_;        // min-heap over byte counts
   std::uint64_t index_mask_ = 0;
-  std::uint32_t free_head_ = 0;       // entry idx + 1, 0 = none
+  std::uint32_t free_head_ = 0;       // slot idx + 1, 0 = none
 };
 
 /// Cumulative tier counters (reported by `--sketch-stats`; never part
@@ -202,7 +242,7 @@ struct HeavyHitter {
   bool operator==(const HeavyHitter&) const = default;
 };
 
-/// See file comment. One instance per pipeline shard; single-threaded.
+/// See file comment. One instance per pipeline shard; not thread-safe.
 class FlowTier {
  public:
   /// Splits `budget_bytes` between the heavy-hitter table (~1/4, at

@@ -23,6 +23,23 @@
 
 namespace zpm::util {
 
+/// Spin briefly, then yield, then sleep: keeps latency low when both
+/// sides of a handoff are running while not starving a single-core
+/// machine. One instance per wait; call wait() once per failed attempt.
+struct Backoff {
+  void wait() {
+    if (spins_ < 64) {
+      ++spins_;
+    } else if (spins_ < 96) {
+      ++spins_;
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  int spins_ = 0;
+};
+
 /// Bounded SPSC queue of `T`. `push`/`try_push` may only be called from
 /// one thread and `pop`/`try_pop` from one (possibly different) thread.
 /// Elements are moved in and out. `close()` (producer side) makes `pop`
@@ -191,22 +208,6 @@ class SpscRing {
   }
 
  private:
-  /// Spin briefly, then yield, then sleep: keeps latency low when both
-  /// sides are running while not starving a single-core machine.
-  struct Backoff {
-    void wait() {
-      if (spins_ < 64) {
-        ++spins_;
-      } else if (spins_ < 96) {
-        ++spins_;
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-    int spins_ = 0;
-  };
-
   std::vector<T> slots_;
   std::size_t mask_ = 0;
 

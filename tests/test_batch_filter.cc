@@ -1,7 +1,7 @@
 // The capture front end's two contracts (capture/batch_filter.h):
 //
 //  1. Bit identity — analyzer output is identical with the front end on
-//     or off, scalar or SIMD probe, serial or sharded (1/2/4), on clean
+//     or off, scalar or SIMD probe, serial or sharded (1-4), on clean
 //     and hostile traces. The only permitted difference is the
 //     frontend_rejected health counter itself (and ring_wait_spins,
 //     which is timing-dependent by documentation).
@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "capture/batch_filter.h"
@@ -103,7 +105,9 @@ std::vector<net::RawPacket> meeting_trace() {
   return sim::run_meeting(mc);
 }
 
-std::vector<net::RawPacket> hostile_campus_trace() {
+/// Campus background (optionally through the hostile corruptor) merged
+/// with one genuine meeting.
+std::vector<net::RawPacket> campus_trace(bool hostile) {
   // Campus background + corruptor output alone carries no real Zoom
   // media (the scheduler drops meetings clamped under 2 minutes, and a
   // 45 s window clamps them all), so a genuine meeting is merged into
@@ -114,7 +118,7 @@ std::vector<net::RawPacket> hostile_campus_trace() {
   cc.duration = util::Duration::seconds(45);
   cc.meetings_per_peak_hour = 30.0;
   cc.background_ratio = 1.0;  // plenty of front-end-rejectable traffic
-  cc.corruption = sim::CorruptorConfig::hostile(0xBEEF);
+  if (hostile) cc.corruption = sim::CorruptorConfig::hostile(0xBEEF);
   sim::CampusSimulation campus(cc);
   std::vector<net::RawPacket> trace;
   while (auto pkt = campus.next_packet()) trace.push_back(std::move(*pkt));
@@ -146,6 +150,8 @@ std::vector<net::RawPacket> hostile_campus_trace() {
   return merged;
 }
 
+std::vector<net::RawPacket> hostile_campus_trace() { return campus_trace(true); }
+
 void expect_serial_equal(const core::Analyzer& a, const core::Analyzer& b) {
   EXPECT_EQ(a.counters(), b.counters());
   EXPECT_EQ(normalized(a.health()), normalized(b.health()));
@@ -173,8 +179,10 @@ void check_bit_identity(const std::vector<net::RawPacket>& trace) {
     EXPECT_EQ(screened.health().frontend_rejected, filter.stats().rejected);
   }
 
-  // Sharded, front end on vs off, at 1/2/4 shards.
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+  // Sharded, front end on vs off, at 1/2/3/4 shards (3: a modulus that
+  // is not a power of two).
+  for (std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     pipeline::ParallelAnalyzerConfig par_cfg;
     par_cfg.analyzer = cfg;
@@ -466,8 +474,8 @@ TEST(BatchFilter, SketchTierNeverChangesVerdictsOrReports) {
     ASSERT_EQ(vp.flags, vs.flags) << "batch at " << i;
     ASSERT_EQ(vp.shard, vs.shard) << "batch at " << i;
     ASSERT_EQ(vp.slot, vs.slot) << "batch at " << i;
-    ASSERT_TRUE(vp.promotions.empty());  // disabled tier never promotes
   }
+  EXPECT_TRUE(plain.promotions().empty());  // disabled tier never promotes
 
   // The tier summarized exactly the rejected packets.
   const sketch::TierReport report = sketched.sketch_report(10);
@@ -506,7 +514,7 @@ TEST(BatchFilter, LateAdmittedFlowIsPromotedWithCarriedAggregate) {
     pre_bytes += pkt.data.size();
     auto v = classify_one(filter, pkt);
     ASSERT_EQ(v.verdicts[0], Verdict::Reject);
-    ASSERT_TRUE(v.promotions.empty());
+    ASSERT_TRUE(filter.promotions().empty());
   }
 
   std::vector<std::uint8_t> stun = {0x00, 0x01, 0x00, 0x00, 0x21, 0x12, 0xa4,
@@ -520,8 +528,8 @@ TEST(BatchFilter, LateAdmittedFlowIsPromotedWithCarriedAggregate) {
       filter, net::build_udp(Timestamp::from_seconds(11), kCampus, 50000,
                              kOther, 50001, media));
   ASSERT_EQ(admitted.verdicts[0], Verdict::Admit);
-  ASSERT_EQ(admitted.promotions.size(), 1u);
-  const BatchVerdicts::Promotion& promo = admitted.promotions[0];
+  ASSERT_EQ(filter.promotions().size(), 1u);
+  const Promotion promo = filter.promotions()[0];
   EXPECT_EQ(promo.flow, p2p_flow);
   EXPECT_EQ(promo.shard, admitted.shard[0]);
   EXPECT_EQ(promo.carried.packets, 5u);
@@ -533,7 +541,7 @@ TEST(BatchFilter, LateAdmittedFlowIsPromotedWithCarriedAggregate) {
       filter, net::build_udp(Timestamp::from_seconds(12), kCampus, 50000,
                              kOther, 50001, media));
   ASSERT_EQ(again.verdicts[0], Verdict::Admit);
-  EXPECT_TRUE(again.promotions.empty());
+  EXPECT_EQ(filter.promotions().size(), 1u);
 
   // Demotion hands the flow back: the tier re-absorbs the aggregate and
   // counts the churn in sketch_evicted().
@@ -565,6 +573,184 @@ TEST(BatchFilter, SketchEvictionChurnIsAccounted) {
   filter.classify(batch, v);
   ASSERT_EQ(filter.stats().rejected, pkts.size());
   EXPECT_GT(filter.sketch_evicted(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Sketch tier on its worker thread
+
+std::vector<std::uint8_t> tier_image(const sketch::FlowTier& tier) {
+  util::ByteWriter w;
+  tier.serialize(w);
+  return w.take();
+}
+
+/// Threads of this process, from /proc/self/task.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+/// `count` single-packet flows the front end rejects.
+std::vector<net::RawPacket> background_flows(std::uint32_t count) {
+  std::vector<std::uint8_t> payload(64, 0x42);
+  std::vector<net::RawPacket> pkts;
+  for (std::uint32_t n = 0; n < count; ++n)
+    pkts.push_back(net::build_udp(Timestamp::from_seconds(1), kCampus,
+                                  static_cast<std::uint16_t>(20000 + (n >> 12)),
+                                  kOther,
+                                  static_cast<std::uint16_t>(30000 + (n & 0xfff)),
+                                  payload));
+  return pkts;
+}
+
+void classify_all(BatchFilter& filter, const std::vector<net::RawPacket>& trace) {
+  BatchVerdicts v;
+  for (std::size_t i = 0; i < trace.size(); i += kBatch)
+    filter.classify(views_of(trace, i, std::min(trace.size(), i + kBatch)), v);
+}
+
+TEST(BatchFilter, AsyncTierMatchesDirectlyFedTiers) {
+  // The worker must leave every tier exactly as FlowTiers fed in packet
+  // order on this thread would: each Reject absorbed, each flow's first
+  // Admit promoted, then one demotion.
+  constexpr std::size_t kBudget = 256 << 10;
+  for (const bool hostile : {false, true}) {
+    const auto trace = campus_trace(hostile);
+    for (std::size_t shards :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(hostile ? "hostile" : "campus") +
+                   " shards=" + std::to_string(shards));
+      BatchFilterConfig cfg{};
+      cfg.shards = shards;
+      cfg.flow_memory_budget = kBudget;
+      BatchFilter filter(cfg);
+      std::vector<sketch::FlowTier> ref;
+      for (std::size_t i = 0; i < shards; ++i) ref.emplace_back(kBudget / shards);
+      std::vector<Promotion> ref_promotions;
+
+      BatchVerdicts v;
+      std::uint32_t next_slot = 0;  // slots are handed out in first-sight order
+      for (std::size_t i = 0; i < trace.size(); i += kBatch) {
+        const auto batch = views_of(trace, i, std::min(trace.size(), i + kBatch));
+        filter.classify(batch, v);
+        for (std::size_t j = 0; j < batch.size(); ++j) {
+          const bool reject = v.verdicts[j] == Verdict::Reject;
+          const bool first_admit = v.verdicts[j] == Verdict::Admit && v.slot[j] == next_slot;
+          if (!reject && !first_admit) continue;
+          const auto view = net::decode_packet(batch[j].ts, batch[j].data);
+          ASSERT_TRUE(view.has_value());
+          const net::PackedFlowKey key(view->five_tuple().canonical());
+          const std::uint64_t hash = net::canonical_flow_hash(key);
+          ASSERT_EQ(hash, v.flow_hash[j]);
+          sketch::FlowTier& tier = ref[hash % shards];
+          if (reject) {
+            tier.absorb(key, hash, static_cast<std::uint32_t>(batch[j].data.size()));
+            continue;
+          }
+          ++next_slot;
+          const sketch::FlowStats carried = tier.promote(key, hash);
+          if (carried.packets > 0)
+            ref_promotions.push_back(Promotion{key.unpack(), v.shard[j], carried});
+        }
+      }
+      ASSERT_GT(filter.stats().rejected, 0u);
+      ASSERT_FALSE(ref_promotions.empty()) << "trace must exercise promotion";
+
+      const Promotion demoted = ref_promotions.front();
+      ASSERT_TRUE(filter.demote_flow(demoted.flow, sketch::FlowStats{3, 300}));
+      const net::PackedFlowKey dkey(demoted.flow);
+      const std::uint64_t dhash = net::canonical_flow_hash(dkey);
+      ref[dhash % shards].demote(dkey, dhash, sketch::FlowStats{3, 300});
+
+      std::vector<const sketch::FlowTier*> ref_ptrs;
+      std::uint64_t ref_evicted = 0;
+      for (const auto& tier : ref) {
+        ref_ptrs.push_back(&tier);
+        ref_evicted += tier.stats().evictions + tier.stats().demotions;
+      }
+      const sketch::TierReport want = sketch::merge_tiers(ref_ptrs, 50);
+      const sketch::TierReport got = filter.sketch_report(50);
+      EXPECT_EQ(got.stats, want.stats);
+      EXPECT_EQ(got.heavy_hitters, want.heavy_hitters);
+      EXPECT_EQ(filter.sketch_evicted(), ref_evicted);
+      EXPECT_EQ(filter.promotions(), ref_promotions);
+      for (std::size_t s = 0; s < shards; ++s)
+        EXPECT_EQ(tier_image(filter.tier(s)), tier_image(ref[s])) << "tier " << s;
+    }
+  }
+}
+
+TEST(BatchFilter, DestroyingFilterWithQueuedOpsReturns) {
+  // Far more ops than the ring holds: the last classify() returns with
+  // the worker still busy, and destruction must wait it out cleanly.
+  const auto pkts = background_flows(100'000);
+  std::vector<net::RawPacketView> batch;
+  for (const auto& p : pkts) batch.push_back(net::as_view(p));
+  BatchFilterConfig cfg{};
+  cfg.shards = 3;
+  cfg.flow_memory_budget = 1 << 20;
+  const std::size_t before = thread_count();
+  {
+    BatchFilter filter(cfg);
+    BatchVerdicts v;
+    filter.classify(batch, v);
+    EXPECT_EQ(filter.stats().rejected, pkts.size());
+  }
+  EXPECT_EQ(thread_count(), before) << "worker outlived its filter";
+}
+
+TEST(BatchFilter, MovedFilterKeepsItsWorker) {
+  const auto pkts = background_flows(6000);
+  const std::vector<net::RawPacket> first(pkts.begin(), pkts.begin() + 2000);
+  const std::vector<net::RawPacket> second(pkts.begin() + 2000, pkts.begin() + 4000);
+  const std::vector<net::RawPacket> third(pkts.begin() + 4000, pkts.end());
+  BatchFilterConfig cfg{};
+  cfg.shards = 2;
+  cfg.flow_memory_budget = 64 << 10;
+
+  BatchFilter a(cfg);
+  classify_all(a, first);  // starts the worker
+  BatchFilter b(std::move(a));
+  classify_all(b, second);
+  BatchFilter c(cfg);
+  c = std::move(b);
+  classify_all(c, third);
+  EXPECT_EQ(c.sketch_report(1).stats.absorbed_packets, pkts.size());
+
+  // Same ops, never moved: identical tiers.
+  BatchFilter still(cfg);
+  classify_all(still, pkts);
+  for (std::size_t s = 0; s < cfg.shards; ++s)
+    EXPECT_EQ(tier_image(c.tier(s)), tier_image(still.tier(s)));
+}
+
+TEST(BatchFilter, WorkerStartsOnlyForTierWork) {
+  core::AnalyzerConfig acfg;
+  const std::size_t before = thread_count();
+
+  // Tier off: rejects, but no worker.
+  BatchFilter off(BatchFilterConfig{acfg.server_db, 2});
+  classify_all(off, hostile_campus_trace());
+  ASSERT_GT(off.stats().rejected, 0u);
+  EXPECT_EQ(thread_count(), before) << "tier off";
+
+  // Tier on, Zoom-only traffic: nothing rejected, no worker.
+  BatchFilterConfig on_cfg{acfg.server_db, 2};
+  on_cfg.flow_memory_budget = 1 << 20;
+  BatchFilter quiet(on_cfg);
+  classify_all(quiet, meeting_trace());
+  ASSERT_EQ(quiet.stats().rejected, 0u);
+  ASSERT_GT(quiet.stats().admitted, 0u);
+  EXPECT_EQ(thread_count(), before) << "no rejects";
+  EXPECT_EQ(quiet.sketch_report(10).stats, sketch::TierStats{});
+
+  // The count does see the worker once the tier has work.
+  BatchFilter busy(on_cfg);
+  classify_all(busy, background_flows(10));
+  EXPECT_EQ(thread_count(), before + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -119,7 +119,9 @@ void check_trace(const std::vector<net::RawPacket>& trace) {
   serial.finish();
   ASSERT_GT(serial.streams().size(), 0u) << "trace produced no streams";
 
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+  // 3 shards: a modulus that is not a power of two.
+  for (std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ParallelAnalyzerConfig par_cfg;
     par_cfg.analyzer = cfg;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "net/five_tuple.h"
@@ -140,7 +141,7 @@ TEST(HeavyTable, TracksTopFlowsWithSpaceSavingBound) {
     if (bytes <= total_bytes / kCapacity) continue;
     ++guaranteed;
     const net::PackedFlowKey key = key_of(n);
-    EXPECT_NE(table.find(key, net::canonical_flow_hash(key)), nullptr)
+    EXPECT_TRUE(table.find(key, net::canonical_flow_hash(key)).has_value())
         << "flow " << n << " (" << bytes << " B > total/capacity) missing";
   }
   EXPECT_GE(guaranteed, 1u);  // the skew must actually exercise the bound
@@ -160,11 +161,11 @@ TEST(HeavyTable, EraseFreesCapacityAndKeepsProbeChainsIntact) {
     EXPECT_TRUE(table.erase(keys[n], net::canonical_flow_hash(keys[n])));
   EXPECT_EQ(table.size(), 4u);
   for (std::uint32_t n = 0; n < 8; ++n) {
-    const HeavyTable::Entry* e = table.find(keys[n], net::canonical_flow_hash(keys[n]));
+    const auto e = table.find(keys[n], net::canonical_flow_hash(keys[n]));
     if (n % 2 == 0)
-      EXPECT_EQ(e, nullptr) << "erased key " << n << " still present";
+      EXPECT_FALSE(e.has_value()) << "erased key " << n << " still present";
     else
-      ASSERT_NE(e, nullptr) << "survivor key " << n << " lost";
+      ASSERT_TRUE(e.has_value()) << "survivor key " << n << " lost";
   }
   // Freed entries are reusable without eviction.
   for (std::uint32_t n = 100; n < 104; ++n) {
@@ -172,6 +173,226 @@ TEST(HeavyTable, EraseFreesCapacityAndKeepsProbeChainsIntact) {
     EXPECT_FALSE(table.offer(key, net::canonical_flow_hash(key), 1, 1));
   }
   EXPECT_EQ(table.size(), 8u);
+}
+
+/// The binary-heap SpaceSaving table HeavyTable replaced (entries carry
+/// their own byte count and heap position; textbook sift-down), kept as
+/// the reference its evictions, contents and footprint must match.
+class ReferenceHeavyTable {
+ public:
+  struct Entry {
+    net::PackedFlowKey key;
+    std::uint64_t bytes = 0;
+    std::uint64_t packets = 0;
+    std::uint64_t error_bytes = 0;
+    std::uint32_t heap_pos = 0;
+    std::uint32_t next_free = 0;
+  };
+
+  explicit ReferenceHeavyTable(std::size_t capacity) {
+    entries_.resize(capacity);
+    heap_.reserve(capacity);
+    std::size_t index_size = 8;
+    while (index_size < capacity * 2) index_size *= 2;
+    index_.assign(index_size, 0);
+    mask_ = index_size - 1;
+    for (std::size_t i = 0; i < capacity; ++i)
+      entries_[i].next_free = static_cast<std::uint32_t>(i + 2 <= capacity ? i + 2 : 0);
+    free_head_ = 1;
+  }
+
+  bool offer(const net::PackedFlowKey& key, std::uint64_t hash,
+             std::uint64_t packet_inc, std::uint64_t byte_inc) {
+    std::uint32_t* slot = index_slot(key, hash);
+    if (*slot != 0) {
+      Entry& e = entries_[*slot - 1];
+      e.bytes += byte_inc;
+      e.packets += packet_inc;
+      sift_down(e.heap_pos);
+      return false;
+    }
+    if (free_head_ != 0) {
+      const std::uint32_t idx = free_head_ - 1;
+      Entry& e = entries_[idx];
+      free_head_ = e.next_free;
+      e.key = key;
+      e.bytes = byte_inc;
+      e.packets = packet_inc;
+      e.error_bytes = 0;
+      *slot = idx + 1;
+      heap_.push_back(idx);
+      sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+      return false;
+    }
+    const std::uint32_t idx = heap_[0];
+    Entry& e = entries_[idx];
+    index_erase(e.key, net::canonical_flow_hash(e.key));
+    *index_slot(key, hash) = idx + 1;
+    e.key = key;
+    e.error_bytes = e.bytes;
+    e.bytes += byte_inc;
+    e.packets += packet_inc;
+    sift_down(0);
+    return true;
+  }
+
+  bool erase(const net::PackedFlowKey& key, std::uint64_t hash) {
+    const std::uint32_t slot = *index_slot(key, hash);
+    if (slot == 0) return false;
+    const std::uint32_t idx = slot - 1;
+    index_erase(key, hash);
+    const std::uint32_t pos = entries_[idx].heap_pos;
+    const std::uint32_t last = heap_.back();
+    heap_.pop_back();
+    if (pos < heap_.size()) {
+      heap_[pos] = last;
+      entries_[last].heap_pos = pos;
+      sift_down(pos);
+      sift_up(entries_[last].heap_pos);
+    }
+    entries_[idx].next_free = free_head_;
+    free_head_ = idx + 1;
+    return true;
+  }
+
+  /// The same byte stream HeavyTable::serialize writes.
+  std::vector<std::uint8_t> image() const {
+    std::vector<Entry> out;
+    for (std::uint32_t idx : heap_) out.push_back(entries_[idx]);
+    std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
+      if (a.bytes != b.bytes) return a.bytes > b.bytes;
+      if (a.key.k1 != b.key.k1) return a.key.k1 < b.key.k1;
+      return a.key.k2 < b.key.k2;
+    });
+    util::ByteWriter w;
+    w.u64be(entries_.size());
+    w.u64be(heap_.size());
+    for (const Entry& e : out) {
+      w.u64be(e.key.k1);
+      w.u64be(e.key.k2);
+      w.u64be(e.bytes);
+      w.u64be(e.packets);
+      w.u64be(e.error_bytes);
+    }
+    return w.take();
+  }
+
+  std::size_t memory_bytes() const {
+    return entries_.capacity() * sizeof(Entry) +
+           index_.capacity() * sizeof(std::uint32_t) +
+           heap_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  std::uint32_t* index_slot(const net::PackedFlowKey& key, std::uint64_t hash) {
+    std::size_t idx = hash & mask_;
+    while (index_[idx] != 0 && !(entries_[index_[idx] - 1].key == key))
+      idx = (idx + 1) & mask_;
+    return &index_[idx];
+  }
+  void index_erase(const net::PackedFlowKey& key, std::uint64_t hash) {
+    std::size_t hole = static_cast<std::size_t>(index_slot(key, hash) - index_.data());
+    for (std::size_t next = (hole + 1) & mask_;; next = (next + 1) & mask_) {
+      const std::uint32_t slot = index_[next];
+      if (slot == 0) break;
+      const std::size_t home = net::canonical_flow_hash(entries_[slot - 1].key) & mask_;
+      if (((next - home) & mask_) >= ((next - hole) & mask_)) {
+        index_[hole] = slot;
+        hole = next;
+      }
+    }
+    index_[hole] = 0;
+  }
+  void sift_up(std::uint32_t pos) {
+    const std::uint32_t entry = heap_[pos];
+    const std::uint64_t bytes = entries_[entry].bytes;
+    while (pos > 0) {
+      const std::uint32_t parent = (pos - 1) / 2;
+      if (entries_[heap_[parent]].bytes <= bytes) break;
+      heap_[pos] = heap_[parent];
+      entries_[heap_[pos]].heap_pos = pos;
+      pos = parent;
+    }
+    heap_[pos] = entry;
+    entries_[entry].heap_pos = pos;
+  }
+  void sift_down(std::uint32_t pos) {
+    const std::uint32_t entry = heap_[pos];
+    const std::uint64_t bytes = entries_[entry].bytes;
+    const auto n = static_cast<std::uint32_t>(heap_.size());
+    for (;;) {
+      std::uint32_t child = pos * 2 + 1;
+      if (child >= n) break;
+      if (child + 1 < n && entries_[heap_[child + 1]].bytes < entries_[heap_[child]].bytes)
+        ++child;
+      if (entries_[heap_[child]].bytes >= bytes) break;
+      heap_[pos] = heap_[child];
+      entries_[heap_[pos]].heap_pos = pos;
+      pos = child;
+    }
+    heap_[pos] = entry;
+    entries_[entry].heap_pos = pos;
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> index_;
+  std::vector<std::uint32_t> heap_;
+  std::uint64_t mask_ = 0;
+  std::uint32_t free_head_ = 0;
+};
+
+std::vector<std::uint8_t> image_of(const HeavyTable& table) {
+  util::ByteWriter w;
+  table.serialize(w);
+  return w.take();
+}
+
+TEST(HeavyTable, MatchesReferenceBinaryHeapOnTieHeavyStreams) {
+  // Equal byte increments and a small key pool make nearly every sift a
+  // tie: which minimum gets evicted then depends on the exact heap
+  // layout, so any layout drift shows up in evictions or contents.
+  for (const std::size_t capacity : {std::size_t{4}, std::size_t{16}, std::size_t{61}}) {
+    for (const std::uint32_t pool : {2u, 3u, 8u}) {
+      for (const std::uint64_t max_inc : {1u, 2u, 100u}) {
+        SCOPED_TRACE("capacity=" + std::to_string(capacity) +
+                     " pool=" + std::to_string(pool) + " inc=" + std::to_string(max_inc));
+        HeavyTable table(capacity);
+        ReferenceHeavyTable ref(capacity);
+        ASSERT_EQ(table.memory_bytes(), ref.memory_bytes());
+        util::Rng rng(capacity * 131 + pool * 7 + max_inc);
+        const auto keys = static_cast<std::uint32_t>(capacity * pool);
+        std::uint64_t evictions = 0;
+        for (int step = 0; step < 6000; ++step) {
+          const net::PackedFlowKey key =
+              key_of(static_cast<std::uint32_t>(rng.uniform_int(0, keys - 1)));
+          const std::uint64_t hash = net::canonical_flow_hash(key);
+          if (rng.chance(0.05)) {
+            ASSERT_EQ(table.erase(key, hash), ref.erase(key, hash)) << "step " << step;
+          } else {
+            const std::uint64_t inc =
+                max_inc == 2 ? static_cast<std::uint64_t>(rng.uniform_int(1, 2)) : max_inc;
+            const bool evicted = table.offer(key, hash, 1, inc);
+            ASSERT_EQ(evicted, ref.offer(key, hash, 1, inc)) << "step " << step;
+            evictions += evicted ? 1 : 0;
+          }
+          if (step % 97 == 0) {
+            ASSERT_EQ(image_of(table), ref.image()) << "step " << step;
+          }
+        }
+        EXPECT_EQ(image_of(table), ref.image());
+        EXPECT_GT(evictions, 0u);
+      }
+    }
+  }
+}
+
+TEST(HeavyTable, FootprintMatchesReferenceLayout) {
+  // FlowTier splits its budget by HeavyTable::memory_bytes(): the same
+  // footprint per capacity keeps every budget's geometry.
+  for (const std::size_t capacity :
+       {std::size_t{4}, std::size_t{16}, std::size_t{1117}, std::size_t{4369}})
+    EXPECT_EQ(HeavyTable(capacity).memory_bytes(),
+              ReferenceHeavyTable(capacity).memory_bytes());
 }
 
 // ---------------------------------------------------------------------------
